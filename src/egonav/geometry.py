@@ -2,8 +2,11 @@
 
 Poses live in SE(2) as (x, y, theta) with theta kept in (-pi, pi].
 The base motion model is the standard unicycle stepped with explicit
-Euler, which every other module (optimizer, simulator, oracles) shares
-verbatim so their rollouts agree bit-for-bit.
+Euler. :func:`step` and :func:`rollout` are its scalar reference. The
+optimizer and the simulator share one vectorized form of the same model
+(:func:`egonav.retarget.window_rollout`), which sums headings instead of
+wrapping them after every step; the two agree to rounding, not bit for
+bit, and the tests compare them.
 """
 
 from __future__ import annotations

@@ -1,27 +1,31 @@
 """Waypoint-tracking trajectory optimization for a differential-drive base.
 
-Finds bounded (v, omega) sequences whose Euler rollout tracks a sequence
-of desired planar waypoints. The objective is a weighted sum of squared
-position error, wrapped squared yaw error, and first-difference command
-smoothness, minimized by projected gradient descent with an Armijo line
-search and a small multi-start. A brute-force grid enumerator serves as
-an independent oracle for small instances.
+Finds bounded (v, omega) commands whose Euler rollout tracks a window of
+K planar waypoints, minimizing the sum of squares of 5K residuals: the
+x, y and wrapped yaw errors and the first differences of v and omega,
+weighted by the square roots of lambda_pos, lambda_yaw, lambda_smooth.
+:func:`window_rollout` yields them and their closed-form Jacobian J.
+:func:`solve` runs Bertsekas's epsilon-active-set projected Newton method
+(SIAM J. Control Optim. 20(2), 1982) with the Gauss-Newton Hessian
+2 J^T J and an Armijo search along the projected arc, from a small
+multi-start. A start has *converged* once ||z - P(z - g)|| <= grad_tol *
+(1 + f), with P the clip to the bounds, g the gradient and f the cost;
+every iterate is tested, the last one ``max_iters`` allows too. A
+brute-force grid enumerator with its own batched rollout is an
+independent oracle for small instances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .geometry import Pose2, VelocityCommand, wrap
+from .geometry import TWO_PI, Pose2, VelocityCommand, wrap
 from .ingest import WaypointTrack
-
-ARMIJO_C = 1e-4
-BACKTRACK = 0.5
 
 
 @dataclass(frozen=True)
@@ -75,152 +79,154 @@ class RetargetSolution:
     converged: bool
 
 
-def _states(z, prob: RetargetProblem):
-    """Euler rollout; returns lists x, y, theta of length K+1 (index 0 = start)."""
-    dt = prob.config.dt
-    zl = z.tolist() if isinstance(z, np.ndarray) else [list(c) for c in z]
-    K = len(zl)
-    xs = [0.0] * (K + 1)
-    ys = [0.0] * (K + 1)
-    ths = [0.0] * (K + 1)
-    xs[0], ys[0], ths[0] = prob.start.x, prob.start.y, prob.start.theta
-    for k in range(K):
-        v, w = zl[k]
-        c = math.cos(ths[k])
-        s = math.sin(ths[k])
-        xs[k + 1] = xs[k] + v * c * dt
-        ys[k + 1] = ys[k] + v * s * dt
-        ths[k + 1] = wrap(ths[k] + w * dt)
-    return xs, ys, ths
+class WindowRollout(NamedTuple):
+    """Euler rollout of one window's commands against its waypoints."""
+
+    states: np.ndarray       # (3, K) x, y, unwrapped theta after each command
+    r: np.ndarray            # (5K,) residuals, blocks x, y, yaw, dv, domega
+    J: Optional[np.ndarray]  # (5K, 2K) dr/dz for z = [v0, omega0, v1, ...]
+
+    def costs(self) -> tuple[float, float, float, float]:
+        """(total, pos, yaw, smooth) parts of the objective."""
+        x, y, yaw, dv, dw = (self.r.reshape(5, -1) ** 2).sum(axis=1).tolist()
+        return x + y + yaw + dv + dw, x + y, yaw, dv + dw
+
+    def poses(self) -> list[Pose2]:
+        """The states as poses, headings wrapped; the last starts the next window."""
+        return [Pose2(x, y, wrap(th)) for x, y, th in zip(*self.states.tolist())]
+
+
+class _Window:
+    """One problem's rollout with its waypoint arrays and constant Jacobian blocks."""
+
+    def __init__(self, prob: RetargetProblem):
+        cfg, K = prob.config, len(prob.desired)
+        self.K, self.dt = K, cfg.dt
+        self.start = (prob.start.x, prob.start.y, prob.start.theta)
+        self.prev = (prob.prev_cmd.v, prob.prev_cmd.omega)
+        self.desired = np.array([(d.x, d.y, d.theta) for d in prob.desired]).T
+        self.sp, sy, ss = (math.sqrt(cfg.lambda_pos), math.sqrt(cfg.lambda_yaw),
+                           math.sqrt(cfg.lambda_smooth))
+        self.weights = np.array([self.sp, self.sp, sy, ss, ss])[:, None]
+        # command j moves every pose k >= j
+        self.low = np.tril(np.ones((K, K)))
+        self.jac = np.zeros((5 * K, K, 2))  # its yaw and smoothness blocks are constant
+        self.jac[2 * K:3 * K, :, 1] = sy * cfg.dt * self.low
+        self.jac[3 * K:4 * K, :, 0] = self.jac[4 * K:, :, 1] = ss * (
+            np.eye(K) - np.eye(K, k=-1))
+
+    def __call__(self, z, jacobian: bool = False) -> WindowRollout:
+        K, dt = self.K, self.dt
+        z = np.asarray(z, dtype=float).reshape(-1, 2)
+        if len(z) != K:
+            raise InvalidArgumentError(
+                f"command count {len(z)} != waypoint count {K}")
+        v, w = z.T
+        x0, y0, th0 = self.start
+        # heading before each command: th0 + dt * (omega_0 + ... + omega_{k-1})
+        th = th0 + dt * np.concatenate([[0.0], np.cumsum(w)])
+        cos, sin = np.cos(th[:-1]), np.sin(th[:-1])
+        cx, sy = np.cumsum(v * cos), np.cumsum(v * sin)
+        states = np.array([x0 + dt * cx, y0 + dt * sy, th[1:]])
+        r = np.empty((5, K))
+        np.subtract(states, self.desired, out=r[:3])
+        r[2] -= TWO_PI * np.round(r[2] / TWO_PI)
+        r[3:, 0] = z[0] - self.prev
+        np.subtract(z[1:].T, z[:-1].T, out=r[3:, 1:])
+        r *= self.weights
+        r = r.ravel()
+        if not jacobian:
+            return WindowRollout(states, r, None)
+        # d x_k / d omega_j = -dt^2 (sy_k - sy_j) for j <= k, and
+        # d y_k / d omega_j = dt^2 (cx_k - cx_j)
+        f = self.sp * dt
+        J = self.jac.copy()
+        J[:K, :, 0] = f * cos * self.low
+        J[:K, :, 1] = -f * dt * (sy[:, None] - sy) * self.low
+        J[K:2 * K, :, 0] = f * sin * self.low
+        J[K:2 * K, :, 1] = f * dt * (cx[:, None] - cx) * self.low
+        return WindowRollout(states, r, J.reshape(5 * K, 2 * K))
+
+
+def window_rollout(z, prob: RetargetProblem, jacobian: bool = False) -> WindowRollout:
+    """Roll commands ``z`` (K x 2 of v, omega) out from ``prob.start``.
+
+    Heading is the start heading plus dt times the running sum of omega.
+    The wrap of the yaw error is differentiated as the identity.
+    """
+    return _Window(prob)(z, jacobian)
 
 
 def cost(z, prob: RetargetProblem) -> tuple[float, float, float, float]:
     """Evaluate the tracking objective; returns (total, pos, yaw, smooth)."""
-    z = np.asarray(z, dtype=float).reshape(-1, 2)
-    if len(z) != len(prob.desired):
-        raise InvalidArgumentError(
-            f"command count {len(z)} != waypoint count {len(prob.desired)}"
-        )
-    cfg = prob.config
-    xs, ys, ths = _states(z, prob)
-    zl = z.tolist()
-    c_pos = 0.0
-    c_yaw = 0.0
-    for k, d in enumerate(prob.desired, start=1):
-        c_pos += (xs[k] - d.x) ** 2 + (ys[k] - d.y) ** 2
-        c_yaw += wrap(ths[k] - d.theta) ** 2
-    c_pos *= cfg.lambda_pos
-    c_yaw *= cfg.lambda_yaw
-    pv, pw = prob.prev_cmd.v, prob.prev_cmd.omega
-    c_smooth = 0.0
-    for v, w in zl:
-        c_smooth += (v - pv) ** 2 + (w - pw) ** 2
-        pv, pw = v, w
-    c_smooth *= cfg.lambda_smooth
-    return c_pos + c_yaw + c_smooth, c_pos, c_yaw, c_smooth
+    return window_rollout(z, prob).costs()
 
 
 def gradient(z, prob: RetargetProblem) -> np.ndarray:
-    """Exact gradient of :func:`cost` by backward recursion through the rollout.
-
-    The angle wrap is differentiated as identity; residuals are kept off
-    the +/-pi seam by pre-wrapping the desired yaws.
-    """
-    z = np.asarray(z, dtype=float).reshape(-1, 2)
-    if len(z) != len(prob.desired):
-        raise InvalidArgumentError(
-            f"command count {len(z)} != waypoint count {len(prob.desired)}"
-        )
-    cfg = prob.config
-    dt = cfg.dt
-    K = len(z)
-    zl = z.tolist()
-    xs, ys, ths = _states(z, prob)
-    gv = [0.0] * K
-    gw = [0.0] * K
-
-    ax = ay = ath = 0.0  # adjoint of state (x_k, y_k, theta_k)
-    for k in range(K, 0, -1):
-        d = prob.desired[k - 1]
-        ax += 2.0 * cfg.lambda_pos * (xs[k] - d.x)
-        ay += 2.0 * cfg.lambda_pos * (ys[k] - d.y)
-        ath += 2.0 * cfg.lambda_yaw * wrap(ths[k] - d.theta)
-        c = math.cos(ths[k - 1])
-        s = math.sin(ths[k - 1])
-        v = zl[k - 1][0]
-        gv[k - 1] += (ax * c + ay * s) * dt
-        gw[k - 1] += ath * dt
-        # chain rule into theta_{k-1} through the dynamics
-        ath += (-ax * v * s + ay * v * c) * dt
-
-    pv, pw = prob.prev_cmd.v, prob.prev_cmd.omega
-    lam = cfg.lambda_smooth
-    for k in range(K):
-        dv = zl[k][0] - (pv if k == 0 else zl[k - 1][0])
-        dw = zl[k][1] - (pw if k == 0 else zl[k - 1][1])
-        gv[k] += 2.0 * lam * dv
-        gw[k] += 2.0 * lam * dw
-        if k > 0:
-            gv[k - 1] -= 2.0 * lam * dv
-            gw[k - 1] -= 2.0 * lam * dw
-    return np.column_stack([gv, gw])
-
-
-def _project(z: np.ndarray, cfg: RetargetConfig) -> np.ndarray:
-    out = z.copy()
-    out[:, 0] = np.clip(out[:, 0], cfg.v_min, cfg.v_max)
-    out[:, 1] = np.clip(out[:, 1], cfg.omega_min, cfg.omega_max)
-    return out
+    """Exact gradient 2 J^T r of :func:`cost`, shaped like the commands (K x 2)."""
+    ro = window_rollout(z, prob, jacobian=True)
+    return (2.0 * (ro.r @ ro.J)).reshape(-1, 2)
 
 
 def _fd_inversion_init(prob: RetargetProblem) -> np.ndarray:
     """Initialize by finite-difference inversion of the desired waypoints."""
-    cfg = prob.config
-    dt = cfg.dt
-    z = np.zeros((len(prob.desired), 2))
-    prev = prob.start
-    for k, d in enumerate(prob.desired):
-        c = math.cos(prev.theta)
-        s = math.sin(prev.theta)
-        z[k, 0] = ((d.x - prev.x) * c + (d.y - prev.y) * s) / dt
-        z[k, 1] = wrap(d.theta - prev.theta) / dt
-        prev = d
-    return _project(z, cfg)
+    p = np.array([(q.x, q.y, q.theta) for q in (prob.start, *prob.desired)])
+    dx, dy, dth = np.diff(p, axis=0).T
+    v = dx * np.cos(p[:-1, 2]) + dy * np.sin(p[:-1, 2])
+    return np.column_stack([v, dth - TWO_PI * np.round(dth / TWO_PI)]) / prob.config.dt
 
 
-def _pgd(z0: np.ndarray, prob: RetargetProblem):
-    """Projected gradient descent with Armijo backtracking on the projected arc."""
-    cfg = prob.config
-    z = _project(z0, cfg)
-    f, *_ = cost(z, prob)
+def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  cfg: RetargetConfig):
+    """Projected Gauss-Newton from ``z`` (flat, inside [lo, hi]).
+
+    Variables within eps of a bound that the gradient pushes against are
+    active and take a diagonally scaled gradient step; the others take a
+    Gauss-Newton step. The arc P(z + a d) is searched by halving a from
+    the last accepted step, doubled if that one passed at once (infeasible
+    windows overshoot steadily). Returns (z, f, iterations, converged).
+    """
+    ro = model(z, jacobian=True)
+    f = float(ro.r @ ro.r)
     if not math.isfinite(f):
-        raise NumericalFailureError("initial cost is not finite", last_iterate=z)
-    t = 1.0
+        raise NumericalFailureError("initial cost is not finite",
+                                    last_iterate=z.reshape(-1, 2))
     iters = 0
-    converged = False
-    for iters in range(1, cfg.max_iters + 1):
-        g = gradient(z, prob)
-        pg = z - _project(z - g, cfg)
-        if float(np.linalg.norm(pg)) <= cfg.grad_tol:
-            converged = True
-            break
-        accepted = False
-        while t >= 1e-14:
-            d = _project(z - t * g, cfg) - z
-            f_new, *_ = cost(z + d, prob)
+    a = 1.0
+    while True:
+        g = 2.0 * (ro.r @ ro.J)
+        pg = z - np.clip(z - g, lo, hi)
+        pg_norm = math.sqrt(float(pg @ pg))
+        if pg_norm <= cfg.grad_tol * (1.0 + f):
+            return z, f, iters, True
+        if iters == cfg.max_iters:
+            return z, f, iters, False
+        eps = min(1e-3, pg_norm)
+        free = ~(((z <= lo + eps) & (g > 0)) | ((z >= hi - eps) & (g < 0)))
+        H = 2.0 * (ro.J.T @ ro.J)
+        diag = H.diagonal() + 1e-12 * (1.0 + H.diagonal().max())
+        H *= np.outer(free, free)  # decouple the active variables ...
+        np.fill_diagonal(H, diag)  # ... which keep only their diagonal
+        d = np.linalg.solve(H, -g)
+        g_free = np.where(free, g, 0.0)
+        slope = float(g_free @ d)
+        trial = a
+        while True:
+            z_new = np.clip(z + a * d, lo, hi)
+            ro_new = model(z_new, jacobian=True)
+            f_new = float(ro_new.r @ ro_new.r)
             if not math.isfinite(f_new):
-                raise NumericalFailureError("cost became non-finite during line "
-                                            "search", last_iterate=z)
-            if f_new <= f + ARMIJO_C * float(np.sum(g * d)):
-                z = z + d
-                f = f_new
-                t = min(t * 2.0, 1e6)
-                accepted = True
+                raise NumericalFailureError("cost became non-finite during the arc "
+                                            "search", last_iterate=z.reshape(-1, 2))
+            if f_new <= f + 1e-4 * (a * slope + float((g - g_free) @ (z_new - z))):
                 break
-            t *= BACKTRACK
-        if not accepted:
-            break  # step stalled below machine precision
-    return z, f, iters, converged
+            a *= 0.5
+            if a < 1e-12:
+                return z, f, iters, False  # no descent left at this precision
+        if a == trial:
+            a = min(1.0, 2.0 * a)
+        z, f, ro = z_new, f_new, ro_new
+        iters += 1
 
 
 def solve(prob: RetargetProblem, init=None) -> RetargetSolution:
@@ -228,33 +234,29 @@ def solve(prob: RetargetProblem, init=None) -> RetargetSolution:
 
     Multi-start (zeros, finite-difference inversion of the waypoints, and
     seeded uniform random commands) guards against local minima of the
-    nonconvex shooting objective; the lowest-cost run wins.
+    nonconvex shooting objective; the lowest-cost run wins and reports
+    its own iteration count and convergence.
     """
     cfg = prob.config
     K = len(prob.desired)
     starts: list[np.ndarray] = []
     if init is not None:
-        starts.append(_project(np.asarray(init, dtype=float).reshape(-1, 2), cfg))
+        starts.append(np.asarray(init, dtype=float).reshape(-1, 2))
     starts.append(np.zeros((K, 2)))
     if cfg.n_starts >= 2:
         starts.append(_fd_inversion_init(prob))
     if cfg.n_starts >= 3:
         rng = np.random.default_rng(cfg.seed)
-        rand = np.empty((K, 2))
-        rand[:, 0] = rng.uniform(cfg.v_min, cfg.v_max, K)
-        rand[:, 1] = rng.uniform(cfg.omega_min, cfg.omega_max, K)
-        starts.append(rand)
+        starts.append(np.column_stack([rng.uniform(cfg.v_min, cfg.v_max, K),
+                                       rng.uniform(cfg.omega_min, cfg.omega_max, K)]))
 
-    best = None
-    for z0 in starts:
-        z, f, iters, conv = _pgd(z0, prob)
-        if best is None or f < best[1]:
-            best = (z, f, iters, conv)
-    z, _, iters, conv = best
-    total, c_pos, c_yaw, c_smooth = cost(z, prob)
-    cmds = tuple(VelocityCommand(float(v), float(w)) for v, w in z)
-    return RetargetSolution(cmds, float(total), float(c_pos), float(c_yaw),
-                            float(c_smooth), iters, conv)
+    model = _Window(prob)
+    lo, hi = np.tile([[cfg.v_min, cfg.omega_min], [cfg.v_max, cfg.omega_max]], K)
+    runs = [_gauss_newton(model, np.clip(z0.ravel(), lo, hi), lo, hi, cfg)
+            for z0 in starts]
+    z, _, iters, conv = min(runs, key=lambda run: run[1])  # ties: earliest start
+    cmds = tuple(VelocityCommand(v, w) for v, w in z.reshape(-1, 2).tolist())
+    return RetargetSolution(cmds, *model(z).costs(), iters, conv)
 
 
 def brute_force(prob: RetargetProblem, grid_per_axis: int) -> tuple[np.ndarray, float]:
@@ -270,25 +272,15 @@ def brute_force(prob: RetargetProblem, grid_per_axis: int) -> tuple[np.ndarray, 
     vs = np.linspace(cfg.v_min, cfg.v_max, grid_per_axis)
     ws = np.linspace(cfg.omega_min, cfg.omega_max, grid_per_axis)
     pairs = np.array([(v, w) for v in vs for w in ws])  # (g^2, 2)
-    m = len(pairs)
-    n = m ** K
-    idx = np.arange(n)
-    # decode the mixed-radix index into one command pair per step
-    z_all = np.empty((n, K, 2))
-    for k in range(K - 1, -1, -1):
-        z_all[:, k, :] = pairs[idx % m]
-        idx //= m
+    # every sequence of K pairs, the last step varying fastest
+    z_all = pairs[np.indices((len(pairs),) * K).reshape(K, -1).T]
 
     dt = cfg.dt
-    x = np.full(n, prob.start.x)
-    y = np.full(n, prob.start.y)
-    th = np.full(n, prob.start.theta)
-    total = np.zeros(n)
-    pv = np.full(n, prob.prev_cmd.v)
-    pw = np.full(n, prob.prev_cmd.omega)
+    x, y, th = prob.start.x, prob.start.y, prob.start.theta
+    pv, pw = prob.prev_cmd.v, prob.prev_cmd.omega
+    total = np.zeros(len(z_all))
     for k in range(K):
-        v = z_all[:, k, 0]
-        w = z_all[:, k, 1]
+        v, w = z_all[:, k].T
         x = x + v * np.cos(th) * dt
         y = y + v * np.sin(th) * dt
         th = th + w * dt
@@ -330,9 +322,7 @@ def retarget_track(track: WaypointTrack,
                 f"window {w0 // cfg.window}: {exc}", exc.last_iterate
             ) from exc
         solutions.append(sol)
-        z = np.array([[c.v, c.omega] for c in sol.cmds])
-        xs, ys, ths = _states(z, prob)
-        start = Pose2(xs[-1], ys[-1], ths[-1])
+        start = window_rollout([[c.v, c.omega] for c in sol.cmds], prob).poses()[-1]
         prev_cmd = sol.cmds[-1]
     return solutions
 
@@ -359,33 +349,46 @@ def write_command_file(path, solutions: Sequence[RetargetSolution],
 
 
 def read_command_file(path) -> tuple[list[RetargetSolution], float]:
-    """Rebuild solutions (commands + reported costs) from a command file."""
+    """Rebuild solutions (commands + reported costs) from a command file.
+
+    A malformed row or '#!' token, or a window without a complete
+    '#! window=' record, raises :class:`InvalidArgumentError`.
+    """
     metas: dict[int, dict] = {}
     cmds: dict[int, list[VelocityCommand]] = {}
     dt = None
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             line = line.strip()
-            if line.startswith("#!"):
-                fields = dict(kv.split("=") for kv in line[2:].split())
-                if "window" in fields:
-                    metas[int(fields["window"])] = fields
+            try:
+                if line.startswith("#!"):
+                    fields = dict(kv.split("=") for kv in line[2:].split())
+                    if "window" in fields:
+                        metas[int(fields["window"])] = fields
+                    else:
+                        dt = float(fields["dt"])
+                elif line.startswith("#") or not line:
+                    continue
                 else:
-                    dt = float(fields["dt"])
-            elif line.startswith("#") or not line:
-                continue
-            else:
-                w, v, omega, dt_s = line.split()
-                cmds.setdefault(int(w), []).append(
-                    VelocityCommand(float(v), float(omega)))
-                dt = float(dt_s)
+                    w, v, omega, dt_s = line.split()
+                    cmds.setdefault(int(w), []).append(
+                        VelocityCommand(float(v), float(omega)))
+                    dt = float(dt_s)
+            except (KeyError, ValueError):
+                raise InvalidArgumentError(
+                    f"command file {path} line {n}: malformed row {line!r}") from None
     solutions = []
     for w in sorted(cmds):
-        m = metas[w]
-        solutions.append(RetargetSolution(
-            tuple(cmds[w]), float(m["cost_total"]), float(m["cost_pos"]),
-            float(m["cost_yaw"]), float(m["cost_smooth"]),
-            int(m["iterations"]), bool(int(m["converged"]))))
+        m = metas.get(w, {})
+        try:
+            solutions.append(RetargetSolution(
+                tuple(cmds[w]), float(m["cost_total"]), float(m["cost_pos"]),
+                float(m["cost_yaw"]), float(m["cost_smooth"]),
+                int(m["iterations"]), bool(int(m["converged"]))))
+        except (KeyError, ValueError):
+            raise InvalidArgumentError(
+                f"command file {path}: window {w} has no complete "
+                f"'#! window={w}' record") from None
     if dt is None:
         raise InvalidArgumentError(f"command file {path} has no dt record")
     return solutions, dt

@@ -20,7 +20,7 @@ from .errors import InvalidArgumentError
 from .geometry import Pose2, VelocityCommand, wrap, yaw_quaternion, Pose3
 from .ingest import Episode, FrameRecord, HandSample
 from .retarget import (RetargetConfig, RetargetProblem, RetargetSolution,
-                       cost as retarget_cost, _states)
+                       window_rollout)
 from .segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 
 HAND_FREQ = 2.0        # Hz, manipulation hand oscillation
@@ -76,38 +76,32 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
              cfg: Optional[RetargetConfig] = None) -> SimResult:
     """Roll out retargeted commands and score them against the waypoints.
 
-    Also recomputes the per-window objective with the shared dynamics and
-    reports the discrepancy against the solver-declared costs.
+    Each window starts where the previous one ended, as in
+    ``retarget_track``, and goes through the solver's own rollout, which
+    also recomputes its objective; the discrepancy against the
+    solver-declared costs is reported.
     """
-    cmds = [c for sol in solutions for c in sol.cmds]
-    if len(cmds) != len(desired):
+    n_cmds = sum(len(sol.cmds) for sol in solutions)
+    if n_cmds != len(desired):
         raise InvalidArgumentError(
-            f"command count {len(cmds)} != waypoint count {len(desired)}"
-        )
+            f"command count {n_cmds} != waypoint count {len(desired)}")
     cfg = cfg or RetargetConfig(dt=dt)
 
-    poses = []
-    c_pos = c_yaw = c_smooth = 0.0
-    reported = 0.0
-    discrepancy = 0.0
-    pose = start
+    poses: list[Pose2] = []
+    parts = np.zeros(3)  # pos, yaw, smooth
+    reported = discrepancy = 0.0
     prev_cmd = VelocityCommand(0.0, 0.0)
-    offset = 0
     for sol in solutions:
-        window = tuple(p.normalized() for p in desired[offset:offset + len(sol.cmds)])
-        prob = RetargetProblem(pose, window, cfg, prev_cmd)
-        z = np.array([[c.v, c.omega] for c in sol.cmds])
-        total, cp, cy, cs = retarget_cost(z, prob)
-        c_pos += cp
-        c_yaw += cy
-        c_smooth += cs
+        window = tuple(p.normalized()
+                       for p in desired[len(poses):len(poses) + len(sol.cmds)])
+        prob = RetargetProblem(poses[-1] if poses else start, window, cfg, prev_cmd)
+        ro = window_rollout([[c.v, c.omega] for c in sol.cmds], prob)
+        total, *terms = ro.costs()
+        parts += terms
         reported += sol.cost_total
         discrepancy = max(discrepancy, abs(total - sol.cost_total))
-        xs, ys, ths = _states(z, prob)
-        poses.extend(Pose2(xs[k], ys[k], ths[k]) for k in range(1, len(z) + 1))
-        pose = Pose2(xs[-1], ys[-1], ths[-1])
+        poses.extend(ro.poses())
         prev_cmd = sol.cmds[-1]
-        offset += len(sol.cmds)
 
     errs = [math.hypot(p.x - d.x, p.y - d.y) for p, d in zip(poses, desired)]
     yaw_errs = [wrap(p.theta - d.theta) for p, d in zip(poses, desired)]
@@ -117,7 +111,7 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
         pos_rmse=math.sqrt(sum(e * e for e in errs) / n),
         pos_max=max(errs),
         yaw_rmse=math.sqrt(sum(e * e for e in yaw_errs) / n),
-        cost_breakdown=(c_pos, c_yaw, c_smooth),
+        cost_breakdown=tuple(parts.tolist()),
         reported_cost=reported,
         cost_discrepancy=discrepancy,
     )

@@ -1,16 +1,34 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from egonav.cli import main
 from egonav.errors import InvalidArgumentError
-from egonav.geometry import Pose2, VelocityCommand, rollout
-from egonav.ingest import WaypointTrack
+from egonav.geometry import Pose2, VelocityCommand, rollout, wrap
+from egonav.ingest import WaypointTrack, extract_waypoints
 from egonav.retarget import (RetargetConfig, RetargetProblem, brute_force,
                              cost, gradient, read_command_file,
-                             retarget_track, solve, write_command_file)
+                             retarget_track, solve, window_rollout,
+                             write_command_file)
+from egonav.simulator import simulate, synthesize
+
+from conftest import two_zone_spec
 
 CFG = RetargetConfig()
+
+
+@pytest.fixture(scope="module")
+def two_zone_run():
+    """Waypoints and solved windows of the two-zone walk at the defaults.
+
+    Waypoints 0.25 m apart every 0.16 s ask for more than v_max, so the
+    windows are infeasible and most commands sit at the v bound.
+    """
+    ep, _ = synthesize(two_zone_spec(seed=3))
+    track = extract_waypoints(ep)
+    return [p for _, p in track.waypoints], retarget_track(track, CFG)
 
 
 def random_problem(rng, k, cfg=CFG):
@@ -73,6 +91,18 @@ class TestCost:
             total, p, y, s = cost(z, prob)
             assert p >= 0 and y >= 0 and s >= 0
             assert total == pytest.approx(p + y + s, abs=1e-9)
+
+    def test_rollout_matches_scalar_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            prob = random_problem(rng, int(rng.integers(1, 12)))
+            z = np.column_stack([rng.uniform(-1, 1, len(prob.desired)),
+                                 rng.uniform(-math.pi, math.pi, len(prob.desired))])
+            ref = rollout(prob.start, [VelocityCommand(v, w) for v, w in z], CFG.dt)
+            x, y, th = window_rollout(z, prob).states
+            for p, xk, yk, tk in zip(ref, x, y, th):
+                assert abs(p.x - xk) <= 1e-12 and abs(p.y - yk) <= 1e-12
+                assert abs(wrap(p.theta - tk)) <= 1e-12
 
     def test_length_mismatch(self):
         prob = RetargetProblem(Pose2(0, 0, 0), (Pose2(1, 0, 0),), CFG)
@@ -219,6 +249,81 @@ class TestRetargetTrack:
         with pytest.raises(InvalidArgumentError):
             retarget_track(self.straight_track(1), CFG)
 
+    def test_simulate_replays_the_chain_exactly(self, two_zone_run):
+        poses, sols = two_zone_run
+        res = simulate(poses[0], sols, poses[1:], CFG.dt, CFG)
+        assert res.cost_discrepancy == 0.0
+        # the last window starts where the simulated earlier windows end,
+        # which is where retarget_track chained it from
+        n = len(sols[-1].cmds)
+        last = RetargetProblem(res.poses[-n - 1],
+                               tuple(p.normalized() for p in poses[-n:]),
+                               CFG, sols[-2].cmds[-1])
+        assert solve(last) == sols[-1]
+        z = [[c.v, c.omega] for c in sols[-1].cmds]
+        assert res.poses[-1] == window_rollout(z, last).poses()[-1]
+
+
+class TestConvergence:
+    def test_saturated_walk_windows_converge(self, two_zone_run):
+        _, sols = two_zone_run
+        assert len(sols) == 13
+        assert sum(s.converged for s in sols) >= 12
+
+    def test_iteration_cap_is_not_convergence(self, two_zone_run):
+        poses, sols = two_zone_run
+        prob = RetargetProblem(poses[0], tuple(p.normalized() for p in poses[1:11]),
+                               CFG)
+        assert solve(prob) == sols[0] and sols[0].iterations > 1
+        capped = solve(dataclasses.replace(
+            prob, config=dataclasses.replace(CFG, max_iters=1)))
+        assert capped.iterations == 1
+        assert not capped.converged
+        assert capped.cost_total > sols[0].cost_total
+
+
+def reference_residuals(z, prob):
+    """The objective's residuals from the scalar reference rollout."""
+    cfg = prob.config
+    z = z.reshape(-1, 2)
+    poses = rollout(prob.start, [VelocityCommand(v, w) for v, w in z], cfg.dt)
+    sp, sy = math.sqrt(cfg.lambda_pos), math.sqrt(cfg.lambda_yaw)
+    r = [e for p, d in zip(poses, prob.desired)
+         for e in (sp * (p.x - d.x), sp * (p.y - d.y), sy * wrap(p.theta - d.theta))]
+    prev = np.vstack([[prob.prev_cmd.v, prob.prev_cmd.omega], z[:-1]])
+    return np.concatenate([r, math.sqrt(cfg.lambda_smooth) * (z - prev).ravel()])
+
+
+def test_solve_matches_bounded_least_squares_oracle():
+    # scipy's trust-region reflective solver (Coleman & Li 1996) on the
+    # same objective, started from zero commands and from solve's answer
+    opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(30)
+    for k in range(1, 11):
+        lb = np.tile([CFG.v_min, CFG.omega_min], k)
+        ub = np.tile([CFG.v_max, CFG.omega_max], k)
+        for spacing in (0.08, 0.3):  # 0.3 m per 0.16 s step saturates v
+            heading = float(rng.uniform(-math.pi, math.pi)) + np.cumsum(
+                rng.uniform(-0.5, 0.5, k))
+            xs = np.cumsum(spacing * np.cos(heading))
+            ys = np.cumsum(spacing * np.sin(heading))
+            prob = RetargetProblem(
+                Pose2(0.0, 0.0, float(heading[0])),
+                tuple(Pose2(x, y, wrap(h)) for x, y, h in zip(xs, ys, heading)),
+                CFG, VelocityCommand(float(rng.uniform(0.5, 1)),
+                                     float(rng.uniform(-1, 1))))
+            sol = solve(prob)
+            z = np.array([[c.v, c.omega] for c in sol.cmds]).ravel()
+            trf = min(
+                float(np.sum(reference_residuals(opt.least_squares(
+                    reference_residuals, z0, jac="3-point", bounds=(lb, ub),
+                    method="trf", ftol=1e-15, xtol=1e-15, gtol=1e-15,
+                    args=(prob,)).x, prob) ** 2))
+                for z0 in (np.zeros(2 * k), z))
+            assert sol.cost_total <= trf * (1 + 1e-9) + 1e-12
+            if spacing > CFG.v_max * CFG.dt:
+                assert max(c.v for c in sol.cmds) == CFG.v_max
+
 
 def test_command_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
@@ -229,3 +334,22 @@ def test_command_file_round_trip(tmp_path):
     assert dt == CFG.dt
     assert [s.cmds for s in back] == [s.cmds for s in sols]
     assert [s.cost_total for s in back] == [s.cost_total for s in sols]
+
+
+class TestCommandFileErrors:
+    ROWS = "#! dt=0.16\n0 0.5 0.1 0.16\n"
+
+    def check(self, tmp_path, text):
+        path = tmp_path / "commands.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError):
+            read_command_file(path)
+        # simulate reads the command file first, so the recording may be absent
+        assert main(["simulate", str(path), str(tmp_path / "rec.jsonl"),
+                     "--out", str(tmp_path / "sim.json")]) == 2
+
+    def test_commands_without_window_record(self, tmp_path):
+        self.check(tmp_path, self.ROWS)
+
+    def test_metadata_token_without_equals(self, tmp_path):
+        self.check(tmp_path, "#! window=0 cost_total\n" + self.ROWS)
