@@ -143,11 +143,3 @@ def modulate(chunk: ActionChunk, current_phase: int) -> ActionChunk:
         else:
             out.append(last_nav)
     return ActionChunk(tuple(out), chunk.phases, chunk.horizon, chunk.step)
-
-
-def write_chunk_file(path, chunk: ActionChunk) -> None:
-    """Tabular chunk dump for golden tests: index, x, y, theta, phase."""
-    with open(path, "w") as fh:
-        fh.write("# index x y theta phase\n")
-        for i, (p, ph) in enumerate(zip(chunk.waypoints, chunk.phases)):
-            fh.write(f"{i} {p.x!r} {p.y!r} {p.theta!r} {ph}\n")

@@ -170,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="pipeline config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("synth", help="generate a synthetic recording")
     p.add_argument("spec", help="synthesis spec (JSON)")
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retarget", help="solve for velocity commands")
     p.add_argument("recording", nargs="+")
-    p.add_argument("--phases", help="phase file (carried through to reports)")
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_retarget)
@@ -201,6 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="write metrics summary and SVG plots")
     p.add_argument("artifacts", help="directory with pipeline outputs")
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="summary format: report.txt or report.json")
     common(p)
     p.set_defaults(func=cmd_report)
     return parser

@@ -76,14 +76,73 @@ class NormStats:
     clamped: tuple[bool, ...] = field(default_factory=tuple)
 
 
-def _vec3(obj, key, line_no):
+def _entry(obj: dict, key: str, name: str, line_no: int):
     try:
-        p = obj[key]
+        return obj[key]
     except KeyError:
-        raise ParseError(f"missing field {key!r}", line_no) from None
-    if not (isinstance(p, list) and len(p) == 3):
-        raise ParseError(f"field {key!r} must be a 3-element list", line_no)
-    return tuple(float(v) for v in p)
+        raise ParseError(f"missing field {name!r}", line_no) from None
+
+
+def _object(value, name: str, line_no: int) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"field {name!r} must be a JSON object", line_no)
+    return value
+
+
+def _list(obj: dict, key: str, n: int, name: str, line_no: int) -> list:
+    p = _entry(obj, key, name, line_no)
+    if not (isinstance(p, list) and len(p) == n):
+        raise ParseError(f"field {name!r} must be a {n}-element list", line_no)
+    return p
+
+
+def _finite(v) -> bool:
+    try:
+        return type(v) in (int, float) and math.isfinite(v)  # not a bool
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_frame(obj) -> bool:
+    """Whether ``obj`` is a well-formed frame, checked in aggregate.
+
+    The shapes are checked, then one sum of all the frame's numbers: it
+    fails or is not finite when a value is not a finite number (a bool
+    passes as 0 or 1), and also when finite values overflow it, which
+    :func:`_check_frame` lets through.
+    """
+    try:
+        head = obj["head"]
+        p, q = head["p"], head["q"]
+        ok = isinstance(p, list) and len(p) == 3 and isinstance(q, list) and len(q) == 4
+        total = obj["t"] + sum(p) + sum(q)
+        for key in ("lh", "rh"):
+            hand = obj.get(key)
+            if hand is not None:
+                hp = hand["p"]
+                ok = ok and isinstance(hp, list) and len(hp) == 3
+                total += sum(hp) + hand["c"]
+        return ok and math.isfinite(total)
+    except (KeyError, TypeError, AttributeError, OverflowError):
+        return False
+
+
+def _check_frame(obj, line_no: int) -> None:
+    """Raise a ParseError naming the first malformed field of ``obj``, if any."""
+    if not isinstance(obj, dict):
+        raise ParseError("a frame must be a JSON object", line_no)
+    t = _entry(obj, "t", "t", line_no)
+    head = _object(_entry(obj, "head", "head", line_no), "head", line_no)
+    fields = {"t": [t], "head.p": _list(head, "p", 3, "head.p", line_no),
+              "head.q": _list(head, "q", 4, "head.q", line_no)}
+    for key in ("lh", "rh"):
+        if obj.get(key) is not None:
+            hand = _object(obj[key], key, line_no)
+            fields[key + ".p"] = _list(hand, "p", 3, key + ".p", line_no)
+            fields[key + ".c"] = [_entry(hand, "c", key + ".c", line_no)]
+    for name, values in fields.items():
+        if not all(map(_finite, values)):
+            raise ParseError(f"field {name!r} must hold finite numbers", line_no)
 
 
 def _parse_frame(line: str, line_no: int) -> FrameRecord:
@@ -91,41 +150,27 @@ def _parse_frame(line: str, line_no: int) -> FrameRecord:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-    if "t" not in obj:
-        raise ParseError("missing field 't'", line_no)
-    if "head" not in obj:
-        raise ParseError("missing field 'head'", line_no)
-    head_obj = obj["head"]
-    pos = _vec3(head_obj, "p", line_no)
+    # JSON true and false decode to bools, which sum like 1 and 0
+    if "true" in line or "false" in line or not _is_frame(obj):
+        _check_frame(obj, line_no)
+    head = obj["head"]
     try:
-        q = head_obj["q"]
-    except (KeyError, TypeError):
-        raise ParseError("missing field 'head.q'", line_no) from None
-    if not (isinstance(q, list) and len(q) == 4):
-        raise ParseError("field 'head.q' must be a 4-element list", line_no)
-    try:
-        head = Pose3(pos, tuple(float(v) for v in q))
+        head_pose = Pose3(tuple(map(float, head["p"])), tuple(map(float, head["q"])))
     except InvalidArgumentError as exc:
         raise ParseError(str(exc), line_no) from None
-
-    hands = {}
-    for key in ("lh", "rh"):
-        if key in obj and obj[key] is not None:
-            hobj = obj[key]
-            hp = _vec3(hobj, "p", line_no)
-            if "c" not in hobj:
-                raise ParseError(f"missing field '{key}.c'", line_no)
-            hands[key] = HandSample(hp, float(hobj["c"]))
-    return FrameRecord(float(obj["t"]), head,
-                       hands.get("lh"), hands.get("rh"))
+    lh, rh = (None if h is None else HandSample(tuple(map(float, h["p"])), float(h["c"]))
+              for h in (obj.get("lh"), obj.get("rh")))
+    return FrameRecord(float(obj["t"]), head_pose, lh, rh)
 
 
 def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0,
                     source: str = "human") -> Episode:
     """Parse a line-delimited recording into an Episode.
 
-    Raises ParseError (with line number) on malformed lines and
-    SchemaError on non-monotone timestamps or empty input.
+    Raises ParseError (with line number) on a malformed line: invalid
+    JSON, a missing field, a field of the wrong shape, or a value that is
+    not a finite number. Raises SchemaError on non-monotone timestamps or
+    empty input.
     """
     frames = []
     for line_no, line in enumerate(stream, start=1):

@@ -6,13 +6,20 @@ x, y and wrapped yaw errors and the first differences of v and omega,
 weighted by the square roots of lambda_pos, lambda_yaw, lambda_smooth.
 :func:`window_rollout` yields them and their closed-form Jacobian J.
 :func:`solve` runs Bertsekas's epsilon-active-set projected Newton method
-(SIAM J. Control Optim. 20(2), 1982) with the Gauss-Newton Hessian
-2 J^T J and an Armijo search along the projected arc, from a small
-multi-start. A start has *converged* once ||z - P(z - g)|| <= grad_tol *
-(1 + f), with P the clip to the bounds, g the gradient and f the cost;
-every iterate is tested, the last one ``max_iters`` allows too. A
-brute-force grid enumerator with its own batched rollout is an
-independent oracle for small instances.
+(SIAM J. Control Optim. 20(2), 1982) with an Armijo search along the
+projected arc, from a small multi-start. Its Hessian is the Gauss-Newton
+2 J^T J until a step cuts the cost by less than ``NEWTON_SWITCH`` (20%):
+the next step then tries the exact 2 (J^T J + S), S = sum_i r_i Hess(r_i)
+in closed form, and takes it if its free block is positive definite
+(the hybrid of Fletcher & Xu, IMA J. Numer. Anal. 7, 1987). Windows
+whose waypoints ask for more than the bounds allow keep large residuals
+at the optimum, where Gauss-Newton alone converges only linearly.
+``iterations`` counts solver steps of either kind. A start has
+*converged* once ||z - P(z - g)|| <= grad_tol * (1 + f), with P the clip
+to the bounds, g the gradient and f the cost; every iterate is tested,
+the last one ``max_iters`` allows too. A brute-force grid enumerator
+with its own batched rollout is an independent oracle for small
+instances.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalFailureError
 from .geometry import TWO_PI, Pose2, VelocityCommand, wrap
 from .ingest import WaypointTrack
+
+# a step that cuts the cost by less than this fraction makes the next step
+# try the exact Hessian instead of the Gauss-Newton one
+NEWTON_SWITCH = 0.2
 
 
 @dataclass(frozen=True)
@@ -147,6 +158,30 @@ class _Window:
         J[K:2 * K, :, 1] = f * dt * (cx[:, None] - cx) * self.low
         return WindowRollout(states, r, J.reshape(5 * K, 2 * K))
 
+    def curvature(self, z, ro: WindowRollout) -> np.ndarray:
+        """S = sum_i r_i Hess(r_i) at ``z``: the cost's Hessian is 2 (J^T J + S).
+
+        ``ro`` is the rollout of ``z``. Only the position residuals are
+        nonlinear. With Rx_j, Ry_j the sums of the x and y residuals k >= j
+        and theta_j the heading before command j, S[v_j, omega_m] for m < j
+        is sqrt(lambda_pos) dt^2 (cos theta_j Ry_j - sin theta_j Rx_j), and
+        S[omega_m, omega_n] is -sqrt(lambda_pos) dt^3 times the sum over
+        j > max(m, n) of v_j (cos theta_j Rx_j + sin theta_j Ry_j).
+        """
+        K, dt = self.K, self.dt
+        v = np.asarray(z, dtype=float).reshape(-1, 2)[:, 0]
+        th = np.concatenate([[self.start[2]], ro.states[2, :-1]])
+        cos, sin = np.cos(th), np.sin(th)
+        rx, ry = np.cumsum(ro.r[:2 * K].reshape(2, K)[:, ::-1], axis=1)[:, ::-1]
+        b = v * (cos * rx + sin * ry)
+        after = np.append(np.cumsum(b[::-1])[-2::-1], 0.0)  # sum of b_j over j > m
+        f = self.sp * dt * dt
+        S = np.zeros((K, 2, K, 2))
+        S[:, 0, :, 1] = f * (cos * ry - sin * rx)[:, None] * (self.low - np.eye(K))
+        S[:, 1, :, 0] = S[:, 0, :, 1].T
+        S[:, 1, :, 1] = -f * dt * after[np.maximum.outer(np.arange(K), np.arange(K))]
+        return S.reshape(2 * K, 2 * K)
+
 
 def window_rollout(z, prob: RetargetProblem, jacobian: bool = False) -> WindowRollout:
     """Roll commands ``z`` (K x 2 of v, omega) out from ``prob.start``.
@@ -178,13 +213,16 @@ def _fd_inversion_init(prob: RetargetProblem) -> np.ndarray:
 
 def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   cfg: RetargetConfig):
-    """Projected Gauss-Newton from ``z`` (flat, inside [lo, hi]).
+    """Projected Gauss-Newton from ``z`` (flat, inside [lo, hi]), Newton once it stalls.
 
     Variables within eps of a bound that the gradient pushes against are
     active and take a diagonally scaled gradient step; the others take a
-    Gauss-Newton step. The arc P(z + a d) is searched by halving a from
-    the last accepted step, doubled if that one passed at once (infeasible
-    windows overshoot steadily). Returns (z, f, iterations, converged).
+    Gauss-Newton step, or the exact Newton step of 2 (J^T J + S) once the
+    last accepted step cut the cost by less than ``NEWTON_SWITCH`` and
+    that free block is positive definite. The arc P(z + a d) is searched
+    by halving a from the last accepted step, doubled if that one passed
+    at once (infeasible windows overshoot steadily). Returns (z, f,
+    iterations, converged).
     """
     ro = model(z, jacobian=True)
     f = float(ro.r @ ro.r)
@@ -193,6 +231,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                                     last_iterate=z.reshape(-1, 2))
     iters = 0
     a = 1.0
+    stalled = False
     while True:
         g = 2.0 * (ro.r @ ro.J)
         pg = z - np.clip(z - g, lo, hi)
@@ -205,8 +244,17 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         free = ~(((z <= lo + eps) & (g > 0)) | ((z >= hi - eps) & (g < 0)))
         H = 2.0 * (ro.J.T @ ro.J)
         diag = H.diagonal() + 1e-12 * (1.0 + H.diagonal().max())
-        H *= np.outer(free, free)  # decouple the active variables ...
+        coupled = np.outer(free, free)
+        H *= coupled  # decouple the active variables ...
         np.fill_diagonal(H, diag)  # ... which keep only their diagonal
+        if stalled:
+            newton = H + 2.0 * model.curvature(z, ro) * coupled
+            try:
+                np.linalg.cholesky(newton)
+            except np.linalg.LinAlgError:
+                pass  # not positive definite: keep the Gauss-Newton step
+            else:
+                H = newton
         d = np.linalg.solve(H, -g)
         g_free = np.where(free, g, 0.0)
         slope = float(g_free @ d)
@@ -225,6 +273,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 return z, f, iters, False  # no descent left at this precision
         if a == trial:
             a = min(1.0, 2.0 * a)
+        stalled = f_new > (1.0 - NEWTON_SWITCH) * f
         z, f, ro = z_new, f_new, ro_new
         iters += 1
 

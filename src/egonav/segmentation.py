@@ -13,6 +13,7 @@ history, and a fixed covariance floor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -92,17 +93,13 @@ def velocities(ep: Episode) -> tuple[np.ndarray, np.ndarray]:
     v_head[1:] = np.linalg.norm(np.diff(head, axis=0), axis=1) / dt
     v_head[0] = v_head[1]
 
+    absent = (math.nan,) * 3
     v_hand = np.zeros(n)
-    for i in range(1, n):
-        best = 0.0
-        for side in ("left_hand", "right_hand"):
-            prev = getattr(ep.frames[i - 1], side)
-            cur = getattr(ep.frames[i], side)
-            if prev is None or cur is None:
-                continue
-            d = np.linalg.norm(np.subtract(cur.position, prev.position))
-            best = max(best, d / dt[i - 1])
-        v_hand[i] = best
+    for side in ("left_hand", "right_hand"):
+        pos = np.array([absent if h is None else h.position
+                        for h in (getattr(f, side) for f in ep.frames)])
+        speed = np.linalg.norm(np.diff(pos, axis=0), axis=1) / dt
+        np.fmax(v_hand[1:], speed, out=v_hand[1:])  # NaN, an absent pair, loses
     v_hand[0] = v_hand[1]
     return v_head, v_hand
 

@@ -61,6 +61,17 @@ class TestExitCodes:
         assert main(["segment", str(bad), "--out",
                      str(tmp_path / "p.json")]) == 2
 
+    @pytest.mark.parametrize("frame", [
+        '{"t": NaN, "head": {"p": [0, 0, 1.6], "q": [1, 0, 0, 0]}}',
+        '{"t": 0.1, "head": {"p": [Infinity, 0, 1.6], "q": [1, 0, 0, 0]}}',
+        '{"t": 0.1, "head": [0, 0, 1.6]}',
+    ], ids=["nan-t", "inf-p", "head-list"])
+    def test_malformed_frame_value_is_input_error(self, tmp_path, frame):
+        rec = tmp_path / "bad.jsonl"
+        rec.write_text('{"t": 0.0, "head": {"p": [0, 0, 1.6], "q": [1, 0, 0, 0]}}\n'
+                       + frame + "\n")
+        assert main(["retarget", str(rec), "--out", str(tmp_path / "c.txt")]) == 2
+
     def test_bad_config_key_is_input_error(self, workdir):
         (workdir / "cfg.txt").write_text("ingest.not_a_knob = 1\n")
         assert main(["synth", str(workdir / "spec.json"),

@@ -56,6 +56,38 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_recording(io.StringIO(""))
 
+    HEAD = '"head": {"p": [0.0, 0.0, 1.6], "q": [1.0, 0.0, 0.0, 0.0]}'
+
+    @pytest.mark.parametrize("line", [
+        '{"t": NaN, %s}' % HEAD,
+        '{"t": Infinity, %s}' % HEAD,
+        '{"t": 0.5, "head": {"p": [0.0, -Infinity, 1.6], "q": [1, 0, 0, 0]}}',
+        '{"t": 0.5, "head": {"p": [0.0, 1e999, 1.6], "q": [1, 0, 0, 0]}}',
+        '{"t": 0.5, "head": {"p": [0.0, 0.0, 1.6], "q": [NaN, 0, 0, 0]}}',
+        '{"t": 0.5, %s, "lh": {"p": [0.2, 0.1, 1.2], "c": NaN}}' % HEAD,
+        '{"t": 0.5, %s, "rh": {"p": [0.2, NaN, 1.2], "c": 1.0}}' % HEAD,
+        '{"t": "0.5", %s}' % HEAD,
+        '{"t": 0.5, "head": {"p": [0.0, "0", 1.6], "q": [1, 0, 0, 0]}}',
+        '{"t": 0.5, "head": {"p": [0.0, [0], 1.6], "q": [1, 0, 0, 0]}}',
+        '{"t": 0.5, "head": [[0.0, 0.0, 1.6], [1, 0, 0, 0]]}',
+        '{"t": 0.5, "head": 3}',
+        '{"t": 0.5, %s, "lh": [0.2, 0.1, 1.2]}' % HEAD,
+        '[0.5]',
+        '{"t": true, %s}' % HEAD,
+        '{"t": 0.5, %s, "lh": {"p": [0.2, 0.1, 1.2], "c": false}}' % HEAD,
+    ], ids=["nan-t", "inf-t", "inf-p", "overflow-p", "nan-q", "nan-c",
+            "nan-hand-p", "str-t", "str-p", "list-in-p", "head-list",
+            "head-number", "hand-list", "frame-list", "bool-t", "bool-c"])
+    def test_rejects_malformed_values_with_line_number(self, line):
+        text = '{"t": 0.0, %s}\n%s\n' % (self.HEAD, line)
+        with pytest.raises(ParseError, match="line 2"):
+            parse_recording(io.StringIO(text))
+
+    def test_accepts_finite_values_whose_sum_overflows(self):
+        line = '{"t": 0.5, "head": {"p": [1e308, 1e308, 1.6], "q": [1, 0, 0, 0]}}'
+        ep = parse_recording(io.StringIO(line))
+        assert ep.frames[0].head.position == (1e308, 1e308, 1.6)
+
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(2)
         frames = []

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from egonav import retarget
 from egonav.cli import main
 from egonav.errors import InvalidArgumentError
 from egonav.geometry import Pose2, VelocityCommand, rollout, wrap
 from egonav.ingest import WaypointTrack, extract_waypoints
-from egonav.retarget import (RetargetConfig, RetargetProblem, brute_force,
-                             cost, gradient, read_command_file,
+from egonav.retarget import (RetargetConfig, RetargetProblem, _Window,
+                             brute_force, cost, gradient, read_command_file,
                              retarget_track, solve, window_rollout,
                              write_command_file)
 from egonav.simulator import simulate, synthesize
@@ -29,6 +30,18 @@ def two_zone_run():
     ep, _ = synthesize(two_zone_spec(seed=3))
     track = extract_waypoints(ep)
     return [p for _, p in track.waypoints], retarget_track(track, CFG)
+
+
+def two_zone_window(poses, sols, i):
+    """Window ``i`` of the two-zone run, started where the windows before it end."""
+    start, prev = poses[0], VelocityCommand(0.0, 0.0)
+    n = sum(len(s.cmds) for s in sols[:i])
+    if i:
+        start = simulate(poses[0], sols[:i], poses[1:n + 1], CFG.dt,
+                         CFG).poses[-1]
+        prev = sols[i - 1].cmds[-1]
+    desired = poses[n + 1:n + 1 + len(sols[i].cmds)]
+    return RetargetProblem(start, tuple(p.normalized() for p in desired), CFG, prev)
 
 
 def random_problem(rng, k, cfg=CFG):
@@ -121,6 +134,22 @@ class TestGradient:
             fd = fd_gradient(z, prob)
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-6)
             assert rel.max() <= 1e-5
+
+    def test_hessian_matches_finite_differences(self):
+        # 2 (J^T J + S) against central differences of the exact gradient
+        rng = np.random.default_rng(21)
+        for k in range(1, 11):
+            prob = random_problem(rng, k)
+            z = np.column_stack([rng.uniform(-1, 1, k),
+                                 rng.uniform(-3, 3, k)]).ravel()
+            model = _Window(prob)
+            ro = model(z, jacobian=True)
+            hess = 2.0 * (ro.J.T @ ro.J + model.curvature(z, ro))
+            h = 1e-5
+            fd = np.column_stack([
+                (gradient(z + h * e, prob) - gradient(z - h * e, prob)).ravel()
+                / (2 * h) for e in np.eye(2 * k)])
+            assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
 
     def test_translation_symmetry(self):
         # pure-translation target from zero commands: omega gradient vanishes
@@ -280,6 +309,39 @@ class TestConvergence:
         assert capped.iterations == 1
         assert not capped.converged
         assert capped.cost_total > sols[0].cost_total
+
+    def test_saturated_walk_takes_few_steps(self, two_zone_run, monkeypatch):
+        # every start's steps; Gauss-Newton steps alone take 1003 over the
+        # track and 68, 135 and 144 on window 5
+        steps = []
+        gauss_newton = retarget._gauss_newton
+
+        def counted(*args):
+            run = gauss_newton(*args)
+            steps.append(run[2])
+            return run
+
+        monkeypatch.setattr(retarget, "_gauss_newton", counted)
+        ep, _ = synthesize(two_zone_spec(seed=3))
+        assert retarget_track(extract_waypoints(ep), CFG) == two_zone_run[1]
+        assert len(steps) == 3 * 13
+        assert sum(steps) <= 300
+        assert max(steps[15:18]) <= 20
+
+    def test_newton_fallback_is_gauss_newton(self, two_zone_run, monkeypatch):
+        poses, sols = two_zone_run
+        prob = two_zone_window(poses, sols, 5)
+        hybrid = solve(prob)
+        assert hybrid == sols[5]
+
+        def not_positive_definite(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+        gn = solve(prob)
+        assert gn.converged
+        assert gn.iterations > 3 * hybrid.iterations
+        assert gn.cost_total == pytest.approx(hybrid.cost_total, rel=1e-9)
 
 
 def reference_residuals(z, prob):
