@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import ingest, report, retarget, segmentation, simulator
 from .config import load_config
-from .errors import (ConfigError, EgonavError, NoManipulationZonesError,
-                     NumericalFailureError)
+from .errors import (ConfigError, EgonavError, InvalidArgumentError,
+                     NoManipulationZonesError, NumericalFailureError)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -53,7 +53,10 @@ def _out_path(out: Path, recordings, current, suffix: str) -> Path:
 
 def cmd_synth(args, cfg) -> int:
     with open(args.spec) as fh:
-        spec = simulator.spec_from_json(json.load(fh))
+        try:
+            spec = simulator.spec_from_json(json.load(fh))
+        except (InvalidArgumentError, json.JSONDecodeError) as exc:
+            raise InvalidArgumentError(f"{args.spec}: {exc}") from None
     if args.seed is not None:
         spec = simulator.SynthSpec(spec.segments, spec.fps, spec.noise_std,
                                    args.seed, spec.head_height)
@@ -122,19 +125,15 @@ def cmd_simulate(args, cfg) -> int:
 
 def cmd_report(args, cfg) -> int:
     art = Path(args.artifacts)
-    rec_path = art / "recording.jsonl"
     cmd_path = art / "commands.txt"
     sim_path = art / "sim.json"
-    for required in (rec_path, cmd_path, sim_path):
+    for required in (cmd_path, sim_path):
         if not required.exists():
             raise ConfigError(f"missing artifact: {required}")
 
-    ep = _load_episode(rec_path, cfg)
     solutions, _ = retarget.read_command_file(cmd_path)
     sim = simulator.read_sim_file(sim_path)
-    track = ingest.extract_waypoints(ep, cfg.ingest.d_thresh, cfg.ingest.k_h,
-                                     cfg.ingest.forward_axis)
-    desired = [p for _, p in track.waypoints][1:]
+    desired = [simulator.Pose2(*p) for p in sim["desired"]]
     rollout = [simulator.Pose2(*p) for p in sim["poses"]]
 
     phases = truth = None
@@ -219,7 +218,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"egonav: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (EgonavError, OSError, json.JSONDecodeError) as exc:
+    except (EgonavError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"egonav: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

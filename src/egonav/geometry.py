@@ -65,7 +65,8 @@ class Pose3:
     orientation: tuple[float, float, float, float]
 
     def __post_init__(self):
-        n = math.sqrt(sum(c * c for c in self.orientation))
+        w, x, y, z = self.orientation
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         if abs(n - 1.0) > 1e-9:
             raise InvalidArgumentError(f"quaternion norm {n} != 1")
 

@@ -145,22 +145,50 @@ def _check_frame(obj, line_no: int) -> None:
             raise ParseError(f"field {name!r} must hold finite numbers", line_no)
 
 
-def _parse_frame(line: str, line_no: int) -> FrameRecord:
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode(line: str, line_no: int):
+    """The JSON value of ``line``, which carries no surrounding whitespace.
+
+    One ``raw_decode`` call and an end-of-line check do the work of
+    ``json.loads``. On any failure ``json.loads`` runs again only to name
+    the error, so every message is the one ``json.loads`` gives.
+    """
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
+        obj, end = _raw_decode(line)
+        if end == len(line):
+            return obj
+    except (ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(line)
+    # a decode error, an integer too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from None
+
+
+def _hand(h: dict) -> HandSample:
+    p = h["p"]
+    return HandSample((float(p[0]), float(p[1]), float(p[2])), float(h["c"]))
+
+
+def _parse_frame(line: str, line_no: int) -> FrameRecord:
+    obj = _decode(line, line_no)
     # JSON true and false decode to bools, which sum like 1 and 0
     if "true" in line or "false" in line or not _is_frame(obj):
         _check_frame(obj, line_no)
     head = obj["head"]
+    p, q = head["p"], head["q"]
     try:
-        head_pose = Pose3(tuple(map(float, head["p"])), tuple(map(float, head["q"])))
+        head_pose = Pose3((float(p[0]), float(p[1]), float(p[2])),
+                          (float(q[0]), float(q[1]), float(q[2]), float(q[3])))
     except InvalidArgumentError as exc:
         raise ParseError(str(exc), line_no) from None
-    lh, rh = (None if h is None else HandSample(tuple(map(float, h["p"])), float(h["c"]))
-              for h in (obj.get("lh"), obj.get("rh")))
-    return FrameRecord(float(obj["t"]), head_pose, lh, rh)
+    lh, rh = obj.get("lh"), obj.get("rh")
+    return FrameRecord(float(obj["t"]), head_pose,
+                       None if lh is None else _hand(lh),
+                       None if rh is None else _hand(rh))
 
 
 def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0,

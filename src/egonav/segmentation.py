@@ -158,14 +158,19 @@ def _log_gauss(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndar
     return -0.5 * (maha + np.log(det)) - np.log(2.0 * np.pi)
 
 
-def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
-    """E-step posterior component probabilities, one row per point."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    log_p = np.stack([
+def _log_joint(model: GmmModel, points: np.ndarray) -> np.ndarray:
+    """log w_j + log N(x | mean_j, cov_j): one row per point, one column per component."""
+    return np.stack([
         np.log(model.weights[j]) + _log_gauss(points, model.means[j],
                                               model.covariances[j])
         for j in range(model.k)
     ], axis=1)
+
+
+def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
+    """E-step posterior component probabilities, one row per point."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    log_p = _log_joint(model, points)
     log_norm = _logsumexp(log_p)
     return np.exp(log_p - log_norm[:, None])
 
@@ -199,12 +204,7 @@ def gmm_fit(points, cfg: PhaseConfig, seed: int = 0) -> GmmModel:
 
     history: list[float] = []
     for _ in range(EM_MAX_ITERS):
-        points_r = points
-        log_p = np.stack([
-            np.log(model.weights[j]) + _log_gauss(points_r, model.means[j],
-                                                  model.covariances[j])
-            for j in range(k)
-        ], axis=1)
+        log_p = _log_joint(model, points)
         log_norm = _logsumexp(log_p)
         ll = float(log_norm.mean())
         resp = np.exp(log_p - log_norm[:, None])
@@ -234,12 +234,7 @@ def gmm_pdf(model: GmmModel, point) -> float | np.ndarray:
     pts = np.asarray(point, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    log_p = np.stack([
-        np.log(model.weights[j]) + _log_gauss(pts, model.means[j],
-                                              model.covariances[j])
-        for j in range(model.k)
-    ], axis=1)
-    dens = np.exp(_logsumexp(log_p))
+    dens = np.exp(_logsumexp(_log_joint(model, pts)))
     return float(dens[0]) if single else dens
 
 
@@ -291,13 +286,23 @@ def write_phase_file(path, track: PhaseTrack, model: Optional[GmmModel],
 
 
 def read_phase_file(path) -> tuple[PhaseTrack, Optional[GmmModel], PhaseConfig, int]:
+    """Read a phase file; a missing or malformed field raises InvalidArgumentError."""
     with open(path) as fh:
-        obj = json.load(fh)
-    track = PhaseTrack(np.asarray(obj["labels"], dtype=np.int64))
-    model = None
-    if obj.get("gmm") is not None:
-        g = obj["gmm"]
-        model = GmmModel(np.asarray(g["weights"]), np.asarray(g["means"]),
-                         np.asarray(g["covariances"]))
-    cfg = PhaseConfig(**obj["config"])
-    return track, model, cfg, int(obj["seed"])
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(f"{path}: a phase file must hold a JSON object")
+    try:
+        track = PhaseTrack(np.asarray(obj["labels"], dtype=np.int64))
+        model = None
+        if obj.get("gmm") is not None:
+            g = obj["gmm"]
+            model = GmmModel(np.asarray(g["weights"]), np.asarray(g["means"]),
+                             np.asarray(g["covariances"]))
+        return track, model, PhaseConfig(**obj["config"]), int(obj["seed"])
+    except KeyError as exc:
+        raise InvalidArgumentError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from None

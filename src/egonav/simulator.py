@@ -31,6 +31,7 @@ DEFAULT_AMPLITUDE = 0.3
 @dataclass(frozen=True)
 class SimResult:
     poses: tuple[Pose2, ...]
+    desired: tuple[Pose2, ...]                  # the waypoints scored against
     pos_rmse: float
     pos_max: float
     yaw_rmse: float
@@ -108,6 +109,7 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
     n = len(errs)
     return SimResult(
         poses=tuple(poses),
+        desired=tuple(desired),
         pos_rmse=math.sqrt(sum(e * e for e in errs) / n),
         pos_max=max(errs),
         yaw_rmse=math.sqrt(sum(e * e for e in yaw_errs) / n),
@@ -200,7 +202,7 @@ def spec_from_json(obj: dict) -> SynthSpec:
             seed=int(obj.get("seed", 0)),
             head_height=float(obj.get("head_height", 1.6)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"invalid synthesis spec: {exc}") from None
 
 
@@ -215,6 +217,7 @@ def write_sim_file(path, result: SimResult) -> None:
         "reported_cost": result.reported_cost,
         "cost_discrepancy": result.cost_discrepancy,
         "poses": [[p.x, p.y, p.theta] for p in result.poses],
+        "desired": [[p.x, p.y, p.theta] for p in result.desired],
     }
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1)
@@ -222,5 +225,23 @@ def write_sim_file(path, result: SimResult) -> None:
 
 
 def read_sim_file(path) -> dict:
+    """Read a sim file; a missing or malformed entry raises InvalidArgumentError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(f"{path}: a sim file must hold a JSON object")
+    if "desired" not in obj:
+        raise InvalidArgumentError(
+            f"{path} has no 'desired' waypoints; re-run simulate to write them")
+    for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy", "poses"):
+        if key not in obj:
+            raise InvalidArgumentError(f"{path}: missing field {key!r}")
+    for key in ("poses", "desired"):
+        if not (isinstance(obj[key], list) and all(
+                isinstance(p, list) and len(p) == 3
+                and all(isinstance(c, (int, float)) for c in p) for p in obj[key])):
+            raise InvalidArgumentError(f"{path}: {key!r} must be a list of [x, y, theta]")
+    return obj

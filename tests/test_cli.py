@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from egonav import report
 from egonav.cli import main
+from egonav.config import load_config
+from egonav.geometry import Pose2
+from egonav.ingest import extract_waypoints, parse_recording
 from egonav.retarget import read_command_file
 from egonav.simulator import read_sim_file
 
@@ -58,6 +62,12 @@ class TestExitCodes:
     def test_malformed_recording_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"t": 0.1, "head"\n')
+        assert main(["segment", str(bad), "--out",
+                     str(tmp_path / "p.json")]) == 2
+
+    def test_non_utf8_recording_is_input_error(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'\xff\xfe{"t": 0.0}\n')
         assert main(["segment", str(bad), "--out",
                      str(tmp_path / "p.json")]) == 2
 
@@ -175,3 +185,79 @@ class TestPipeline:
     def test_report_missing_artifacts_is_input_error(self, tmp_path):
         assert main(["report", str(tmp_path), "--out",
                      str(tmp_path / "rep")]) == 2
+
+
+class TestArtifactReaders:
+    """Malformed artifacts make report and synth exit 2, naming the file."""
+
+    def report(self, d, capsys):
+        code = main(["report", str(d / "art"), "--out", str(d / "rep2"),
+                     "--config", str(d / "cfg.txt")])
+        return code, capsys.readouterr().err
+
+    def edit_json(self, path, edit):
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+
+    def test_report_draws_desired_without_recording(self, workdir):
+        art = run_pipeline(workdir)
+        with open(art / "recording.jsonl") as fh:
+            ep = parse_recording(fh, fps=50.0)
+        (art / "recording.jsonl").unlink()
+        assert main(["report", str(art), "--out", str(workdir / "rep2"),
+                     "--config", str(workdir / "cfg.txt")]) == 0
+        ing = load_config(str(workdir / "cfg.txt")).ingest
+        track = extract_waypoints(ep, ing.d_thresh, ing.k_h, ing.forward_axis)
+        rollout = [Pose2(*p) for p in read_sim_file(art / "sim.json")["poses"]]
+        expected = report.trajectory_svg([p for _, p in track.waypoints][1:], rollout)
+        assert (workdir / "rep2" / "trajectory.svg").read_text() == expected
+
+    @pytest.mark.parametrize("key", ["poses", "pos_rmse"])
+    def test_sim_file_missing_field(self, workdir, capsys, key):
+        run_pipeline(workdir)
+        sim = workdir / "art" / "sim.json"
+        self.edit_json(sim, lambda obj: obj.pop(key))
+        code, err = self.report(workdir, capsys)
+        assert code == 2
+        assert str(sim) in err and repr(key) in err
+
+    def test_sim_file_without_desired_asks_to_rerun_simulate(self, workdir, capsys):
+        run_pipeline(workdir)
+        sim = workdir / "art" / "sim.json"
+        self.edit_json(sim, lambda obj: obj.pop("desired"))
+        code, err = self.report(workdir, capsys)
+        assert code == 2
+        assert str(sim) in err and "re-run simulate" in err
+
+    def test_sim_file_malformed_pose(self, workdir, capsys):
+        run_pipeline(workdir)
+        sim = workdir / "art" / "sim.json"
+        self.edit_json(sim, lambda obj: obj["poses"].append([0.0, "y", 0.0]))
+        code, err = self.report(workdir, capsys)
+        assert code == 2 and str(sim) in err
+
+    @pytest.mark.parametrize("edit, words", [
+        (lambda obj: obj.pop("labels"), "'labels'"),
+        (lambda obj: obj.pop("config"), "'config'"),
+        (lambda obj: obj.pop("seed"), "'seed'"),
+        (lambda obj: obj["config"].update(not_a_knob=1), "not_a_knob"),
+        (lambda obj: obj.update(seed="abc"), "abc"),
+    ], ids=["labels", "config", "seed", "unknown-config-key", "bad-seed"])
+    def test_phase_file_malformed(self, workdir, capsys, edit, words):
+        run_pipeline(workdir)
+        phases = workdir / "art" / "phases.json"
+        self.edit_json(phases, edit)
+        code, err = self.report(workdir, capsys)
+        assert code == 2
+        assert str(phases) in err and words in err
+
+    @pytest.mark.parametrize("segment", [
+        {"kind": "straight", "duration": "abc"},
+        {"kind": "straight", "duration": 1e999, "speed": "fast"},
+    ], ids=["duration-str", "speed-str"])
+    def test_synth_spec_bad_number(self, tmp_path, capsys, segment):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"segments": [segment]}))
+        assert main(["synth", str(spec), "--out", str(tmp_path / "art")]) == 2
+        assert str(spec) in capsys.readouterr().err

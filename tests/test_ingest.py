@@ -88,6 +88,31 @@ class TestParse:
         ep = parse_recording(io.StringIO(line))
         assert ep.frames[0].head.position == (1e308, 1e308, 1.6)
 
+    def test_trailing_data_is_extra_data(self):
+        text = '{"t": 0.0, %s}\n{"t": 0.5, %s} x\n' % (self.HEAD, self.HEAD)
+        with pytest.raises(ParseError, match=r"^line 2: invalid JSON: Extra data$"):
+            parse_recording(io.StringIO(text))
+
+    def test_bom_prefixed_line_names_the_bom(self):
+        text = '\ufeff{"t": 0.0, %s}\n' % self.HEAD
+        with pytest.raises(ParseError) as exc:
+            parse_recording(io.StringIO(text))
+        assert str(exc.value) == ("line 1: invalid JSON: Unexpected UTF-8 BOM "
+                                  "(decode using utf-8-sig)")
+
+    def test_whitespace_only_lines_skipped(self):
+        text = ' \n{"t": 0.0, %s}\n\t  \n\n{"t": 0.5, %s}\n  ' % (self.HEAD, self.HEAD)
+        ep = parse_recording(io.StringIO(text))
+        assert [f.t for f in ep.frames] == [0.0, 0.5]
+
+    @pytest.mark.parametrize("line", [
+        "[" * 100_000,
+        '{"t": 1%s, %s}' % ("0" * 5000, HEAD),
+    ], ids=["nested-too-deep", "integer-too-long"])
+    def test_undecodable_json_is_parse_error(self, line):
+        with pytest.raises(ParseError, match=r"^line 1: invalid JSON: "):
+            parse_recording(io.StringIO(line + "\n"))
+
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(2)
         frames = []
