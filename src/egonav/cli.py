@@ -44,6 +44,11 @@ def _load_episode(path, cfg) -> ingest.Episode:
         return ingest.parse_recording(fh, fps=cfg.ingest.fps)
 
 
+def _waypoint_track(path, cfg) -> ingest.WaypointTrack:
+    return ingest.extract_waypoints(_load_episode(path, cfg), cfg.ingest.d_thresh,
+                                    cfg.ingest.k_h, cfg.ingest.forward_axis)
+
+
 def _out_path(out: Path, recordings, current, suffix: str) -> Path:
     if len(recordings) == 1:
         return out
@@ -93,10 +98,7 @@ def cmd_retarget(args, cfg) -> int:
     out = Path(args.out)
 
     def run(path):
-        ep = _load_episode(path, cfg)
-        track = ingest.extract_waypoints(ep, cfg.ingest.d_thresh,
-                                         cfg.ingest.k_h,
-                                         cfg.ingest.forward_axis)
+        track = _waypoint_track(path, cfg)
         if len(track.waypoints) < 2:
             solutions = []  # stationary recording: nothing to command
         else:
@@ -113,10 +115,7 @@ def cmd_retarget(args, cfg) -> int:
 
 def cmd_simulate(args, cfg) -> int:
     solutions, dt = retarget.read_command_file(args.commands)
-    ep = _load_episode(args.recording, cfg)
-    track = ingest.extract_waypoints(ep, cfg.ingest.d_thresh, cfg.ingest.k_h,
-                                     cfg.ingest.forward_axis)
-    poses = [p for _, p in track.waypoints]
+    poses = [p for _, p in _waypoint_track(args.recording, cfg).waypoints]
     result = simulator.simulate(poses[0], solutions, poses[1:], dt,
                                 cfg.retarget)
     simulator.write_sim_file(args.out, result)

@@ -1,7 +1,7 @@
 """Pipeline configuration: defaults and the dotted key-value file format.
 
 A config file is plain text, one ``section.key = value`` pair per line
-('#' comments allowed). An empty or absent file reproduces the published
+('#' comments allowed). An empty file, or none, reproduces the published
 defaults for every stage. Unknown keys are rejected.
 
     ingest.d_thresh = 0.25
@@ -111,7 +111,10 @@ def parse_config(text: str) -> PipelineConfig:
 
 
 def load_config(path=None) -> PipelineConfig:
-    """Load a config file; None or a missing/empty file yields pure defaults."""
+    """Load a config file; None or an empty file yields pure defaults.
+
+    A path that does not exist raises :class:`ConfigError` (exit 2).
+    """
     if path is None:
         return PipelineConfig()
     try:

@@ -115,7 +115,8 @@ def compose(reference: Pose2, relative: Pose2) -> Pose2:
 def to_frame(reference: Pose2, target: Pose2) -> Pose2:
     """Express ``target`` in the coordinate frame of ``reference``.
 
-    Exact inverse of :func:`compose`: compose(ref, to_frame(ref, t)) == t.
+    Inverse of :func:`compose` up to rounding: compose(ref, to_frame(ref, t))
+    equals t to within a few ulps of the coordinates, not bit for bit.
     """
     dx = target.x - reference.x
     dy = target.y - reference.y

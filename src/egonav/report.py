@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from .config import PipelineConfig, effective_parameters
 from .geometry import Pose2
 from .retarget import RetargetSolution
-from .segmentation import PhaseTrack
+from .segmentation import PhaseTrack, runs
 
 _W, _H = 640, 480
 _MARGIN = 40
@@ -23,8 +23,8 @@ def _fmt(v: float) -> str:
 
 
 def _scale(points, width, height, margin):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    xs = [p[0] for p in points] or [0.0]  # no points: an empty plot
+    ys = [p[1] for p in points] or [0.0]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0, 1e-9)
@@ -73,20 +73,13 @@ def phase_timeline_svg(track: PhaseTrack,
     bar_h = 60
     for r, (name, tr) in enumerate(rows):
         y = 60 + r * (bar_h + 40)
-        n = len(tr.labels)
-        px_per = (_W - 2 * _MARGIN) / max(n, 1)
-        i = 0
-        labels = tr.labels
-        while i < n:
-            j = i
-            while j < n and labels[j] == labels[i]:
-                j += 1
-            color = "#c23b22" if labels[i] == 0 else "#9fc5e8"
+        px_per = (_W - 2 * _MARGIN) / max(len(tr.labels), 1)
+        for i, j in runs(tr.labels).tolist():
+            color = "#c23b22" if tr.labels[i] == 0 else "#9fc5e8"
             x = _MARGIN + i * px_per
             w = (j - i) * px_per
             body.append(f'<rect x="{_fmt(x)}" y="{y}" width="{_fmt(w)}" '
                         f'height="{bar_h}" fill="{color}"/>')
-            i = j
         body.append(f'<text x="{_MARGIN}" y="{y - 8}" font-size="13">{name} '
                     f'(manipulation red, navigation blue)</text>')
     return _svg(body)

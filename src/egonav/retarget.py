@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -278,7 +278,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         iters += 1
 
 
-def solve(prob: RetargetProblem, init=None) -> RetargetSolution:
+def solve(prob: RetargetProblem) -> RetargetSolution:
     """Minimize the tracking objective over box-bounded commands.
 
     Multi-start (zeros, finite-difference inversion of the waypoints, and
@@ -288,10 +288,7 @@ def solve(prob: RetargetProblem, init=None) -> RetargetSolution:
     """
     cfg = prob.config
     K = len(prob.desired)
-    starts: list[np.ndarray] = []
-    if init is not None:
-        starts.append(np.asarray(init, dtype=float).reshape(-1, 2))
-    starts.append(np.zeros((K, 2)))
+    starts = [np.zeros((K, 2))]
     if cfg.n_starts >= 2:
         starts.append(_fd_inversion_init(prob))
     if cfg.n_starts >= 3:
@@ -344,36 +341,50 @@ def brute_force(prob: RetargetProblem, grid_per_axis: int) -> tuple[np.ndarray, 
     return z_all[best].copy(), float(total[best])
 
 
+def chain_windows(start: Pose2, desired: Sequence[Pose2], sizes: Iterable[int],
+                  cfg: RetargetConfig,
+                  commands: Callable[[int, RetargetProblem], RetargetSolution],
+                  ) -> Iterator[tuple[RetargetSolution, WindowRollout]]:
+    """Cut ``desired`` into consecutive windows of ``sizes`` and chain them.
+
+    Window i starts where the rollout of window i - 1 ended (``start``
+    for the first) and anchors its smoothness term to that window's last
+    command (zero for the first). ``commands(i, prob)`` gives window i's
+    solution: ``retarget_track`` solves it, ``simulate`` replays it from a
+    command file. Yields each solution with the rollout of its commands.
+    """
+    prev_cmd = VelocityCommand(0.0, 0.0)
+    w0 = 0
+    for i, size in enumerate(sizes):
+        window = tuple(p.normalized() for p in desired[w0:w0 + size])
+        prob = RetargetProblem(start, window, cfg, prev_cmd)
+        try:
+            sol = commands(i, prob)
+        except NumericalFailureError as exc:
+            raise NumericalFailureError(
+                f"window {i}: {exc}", exc.last_iterate) from exc
+        ro = window_rollout([[c.v, c.omega] for c in sol.cmds], prob)
+        yield sol, ro
+        start, prev_cmd = ro.poses()[-1], sol.cmds[-1]
+        w0 += size
+
+
 def retarget_track(track: WaypointTrack,
                    cfg: Optional[RetargetConfig] = None) -> list[RetargetSolution]:
-    """Solve a whole waypoint track in chained windows.
+    """Solve a whole waypoint track in chained windows of ``cfg.window``.
 
-    The first waypoint is the start pose; subsequent waypoints are the
-    desired sequence, split into windows of ``cfg.window``. Each window
-    starts from the previous window's rollout endpoint with the previous
-    final command anchoring the smoothness term.
+    The first waypoint is the start pose; the others are the desired
+    sequence, chained by :func:`chain_windows`.
     """
     cfg = cfg or RetargetConfig()
     poses = [p for _, p in track.waypoints]
     if len(poses) < 2:
         raise InvalidArgumentError("need at least 2 waypoints to retarget")
-    desired = poses[1:]
-    start = poses[0]
-    prev_cmd = VelocityCommand(0.0, 0.0)
-    solutions = []
-    for w0 in range(0, len(desired), cfg.window):
-        window = tuple(p.normalized() for p in desired[w0:w0 + cfg.window])
-        prob = RetargetProblem(start, window, cfg, prev_cmd)
-        try:
-            sol = solve(prob)
-        except NumericalFailureError as exc:
-            raise NumericalFailureError(
-                f"window {w0 // cfg.window}: {exc}", exc.last_iterate
-            ) from exc
-        solutions.append(sol)
-        start = window_rollout([[c.v, c.omega] for c in sol.cmds], prob).poses()[-1]
-        prev_cmd = sol.cmds[-1]
-    return solutions
+    n = len(poses) - 1
+    sizes = [min(cfg.window, n - w0) for w0 in range(0, n, cfg.window)]
+    chain = chain_windows(poses[0], poses[1:], sizes, cfg,
+                          lambda i, prob: solve(prob))
+    return [sol for sol, _ in chain]
 
 
 def write_command_file(path, solutions: Sequence[RetargetSolution],

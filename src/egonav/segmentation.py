@@ -104,6 +104,15 @@ def velocities(ep: Episode) -> tuple[np.ndarray, np.ndarray]:
     return v_head, v_hand
 
 
+def runs(values) -> np.ndarray:
+    """Maximal runs of equal values, in order: one [start, end) row per run."""
+    values = np.asarray(values)
+    n = len(values)
+    cuts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    bounds = np.concatenate([[0], cuts, [n]]) if n else np.zeros(1, np.int64)
+    return np.column_stack([bounds[:-1], bounds[1:]])
+
+
 def candidate_mask(v_head: np.ndarray, v_hand: np.ndarray,
                    cfg: PhaseConfig) -> np.ndarray:
     """Manipulation candidate frames, with short runs removed.
@@ -116,20 +125,8 @@ def candidate_mask(v_head: np.ndarray, v_hand: np.ndarray,
         raise InvalidArgumentError("v_head and v_hand lengths differ")
     ratio = v_hand / (v_head + cfg.epsilon)
     mask = (ratio > cfg.tau_ratio) & (v_head < cfg.tau_head)
-    out = mask.copy()
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j < n and mask[j]:
-                j += 1
-            if j - i < cfg.tau_duration:
-                out[i:j] = False
-            i = j
-        else:
-            i += 1
-    return out
+    start, end = runs(mask).T
+    return np.repeat(mask[start] & (end - start >= cfg.tau_duration), end - start)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int,

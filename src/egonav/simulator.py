@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import Pose2, VelocityCommand, wrap, yaw_quaternion, Pose3
+from .geometry import Pose2, wrap, yaw_quaternion, Pose3
 from .ingest import Episode, FrameRecord, HandSample
-from .retarget import (RetargetConfig, RetargetProblem, RetargetSolution,
-                       window_rollout)
+from .retarget import RetargetConfig, RetargetSolution, chain_windows
 from .segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 
 HAND_FREQ = 2.0        # Hz, manipulation hand oscillation
@@ -77,41 +76,37 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
              cfg: Optional[RetargetConfig] = None) -> SimResult:
     """Roll out retargeted commands and score them against the waypoints.
 
-    Each window starts where the previous one ended, as in
-    ``retarget_track``, and goes through the solver's own rollout, which
-    also recomputes its objective; the discrepancy against the
-    solver-declared costs is reported.
+    The windows of ``solutions`` are chained as in ``retarget_track`` and
+    rolled out at ``dt``, the command file's, under the weights of ``cfg``;
+    each window's recomputed cost is compared with the solver's. No
+    windows give an empty rollout with zero errors.
     """
     n_cmds = sum(len(sol.cmds) for sol in solutions)
     if n_cmds != len(desired):
         raise InvalidArgumentError(
             f"command count {n_cmds} != waypoint count {len(desired)}")
-    cfg = cfg or RetargetConfig(dt=dt)
+    chain = chain_windows(start, desired, [len(sol.cmds) for sol in solutions],
+                          replace(cfg or RetargetConfig(), dt=dt),
+                          lambda i, prob: solutions[i])
 
     poses: list[Pose2] = []
     parts = np.zeros(3)  # pos, yaw, smooth
     reported = discrepancy = 0.0
-    prev_cmd = VelocityCommand(0.0, 0.0)
-    for sol in solutions:
-        window = tuple(p.normalized()
-                       for p in desired[len(poses):len(poses) + len(sol.cmds)])
-        prob = RetargetProblem(poses[-1] if poses else start, window, cfg, prev_cmd)
-        ro = window_rollout([[c.v, c.omega] for c in sol.cmds], prob)
+    for sol, ro in chain:
         total, *terms = ro.costs()
         parts += terms
         reported += sol.cost_total
         discrepancy = max(discrepancy, abs(total - sol.cost_total))
         poses.extend(ro.poses())
-        prev_cmd = sol.cmds[-1]
 
     errs = [math.hypot(p.x - d.x, p.y - d.y) for p, d in zip(poses, desired)]
     yaw_errs = [wrap(p.theta - d.theta) for p, d in zip(poses, desired)]
-    n = len(errs)
+    n = max(len(errs), 1)
     return SimResult(
         poses=tuple(poses),
         desired=tuple(desired),
         pos_rmse=math.sqrt(sum(e * e for e in errs) / n),
-        pos_max=max(errs),
+        pos_max=max(errs, default=0.0),
         yaw_rmse=math.sqrt(sum(e * e for e in yaw_errs) / n),
         cost_breakdown=tuple(parts.tolist()),
         reported_cost=reported,

@@ -115,8 +115,40 @@ class TestExitCodes:
         solutions, _ = read_command_file(out)
         assert solutions == []
 
+    def test_stationary_recording_runs_through_every_step(self, tmp_path):
+        spec = {"segments": [{"kind": "pause-and-manipulate",
+                              "duration": 3.0}], "fps": 30.0}
+        (tmp_path / "s.json").write_text(json.dumps(spec))
+        art = tmp_path / "art"
+        assert main(["synth", str(tmp_path / "s.json"), "--out", str(art)]) == 0
+        assert main(["retarget", str(art / "recording.jsonl"),
+                     "--out", str(art / "commands.txt")]) == 0
+        assert main(["simulate", str(art / "commands.txt"),
+                     str(art / "recording.jsonl"),
+                     "--out", str(art / "sim.json")]) == 0
+        sim = read_sim_file(art / "sim.json")
+        assert sim["poses"] == sim["desired"] == []
+        assert sim["pos_rmse"] == sim["pos_max"] == sim["yaw_rmse"] == 0.0
+        assert sim["cost_discrepancy"] == 0.0
+        assert main(["report", str(art), "--out", str(tmp_path / "rep")]) == 0
+        assert "<polyline" in (tmp_path / "rep" / "trajectory.svg").read_text()
+
 
 class TestPipeline:
+    def test_simulate_replays_at_the_command_file_dt(self, workdir):
+        # retarget under a non-default dt, simulate with no config: the
+        # replay must use the dt recorded in the command file
+        (workdir / "dt.txt").write_text("retarget.dt = 0.1\n")
+        art = workdir / "art"
+        assert main(["synth", str(workdir / "spec.json"), "--out", str(art)]) == 0
+        rec = str(art / "recording.jsonl")
+        assert main(["retarget", rec, "--out", str(art / "commands.txt"),
+                     "--config", str(workdir / "dt.txt")]) == 0
+        assert read_command_file(art / "commands.txt")[1] == 0.1
+        assert main(["simulate", str(art / "commands.txt"), rec,
+                     "--out", str(art / "sim.json")]) == 0
+        assert read_sim_file(art / "sim.json")["cost_discrepancy"] == 0.0
+
     def test_end_to_end_tracks_waypoints(self, workdir):
         art = run_pipeline(workdir)
         sim = read_sim_file(art / "sim.json")
