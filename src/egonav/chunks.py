@@ -5,12 +5,21 @@ Navigation chunks are built by subsampling ground-projected poses every
 frame at the observation time, upsampling to a unified length (linear
 x/y, atan2-blended yaw), and finally modulating waypoints with the
 predicted phase to keep the base still during manipulation.
+
+:func:`upsample` takes ``math.sin``/``math.cos`` once per input waypoint,
+blends x, y, sin and cos over the whole output grid as numpy arrays, and
+takes each output yaw with ``math.atan2`` (``np.arctan2`` differs from it
+by one ulp on some inputs). Grid points that land on a waypoint, and
+blends of near-zero norm, go through :func:`blend_yaw`, which owns those
+edge rules. The result is bit-identical to blending point by point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 from .geometry import Pose2, project_to_ground, to_frame, wrap
@@ -41,20 +50,20 @@ def subsample(ep: Episode, t0: int, horizon: int, step: int,
     All poses are expressed in the frame of the ground-projected pose at
     t0 (the observation time), each carrying its frame's phase label.
     """
-    if t0 + horizon * step >= len(ep.frames):
+    if t0 < 0 or step < 1:
         raise InvalidArgumentError(
-            f"chunk [{t0}, {t0 + horizon * step}] exceeds episode length "
+            f"chunk start {t0} must be >= 0 and step {step} >= 1")
+    stop = t0 + horizon * step + 1
+    if stop > len(ep.frames):
+        raise InvalidArgumentError(
+            f"chunk [{t0}, {stop - 1}] exceeds episode length "
             f"{len(ep.frames)}"
         )
     ref = project_to_ground(ep.frames[t0].head, forward_axis)
-    waypoints = []
-    labels = []
-    for i in range(1, horizon + 1):
-        idx = t0 + i * step
-        waypoints.append(to_frame(ref, project_to_ground(ep.frames[idx].head,
-                                                         forward_axis)))
-        labels.append(int(phases.labels[idx]))
-    return ActionChunk(tuple(waypoints), tuple(labels), horizon, step)
+    waypoints = tuple([to_frame(ref, project_to_ground(f.head, forward_axis))
+                       for f in ep.frames[t0 + step:stop:step]])
+    labels = tuple(phases.labels[t0 + step:stop:step].tolist())
+    return ActionChunk(waypoints, labels, horizon, step)
 
 
 def blend_yaw(theta_a: float, theta_b: float, s: float) -> float:
@@ -81,26 +90,35 @@ def upsample(chunk: ActionChunk, target_len: int = TARGET_LEN) -> ActionChunk:
     and last outputs equal the first and last inputs; phases follow the
     nearest source index.
     """
-    n = len(chunk.waypoints)
+    wps = chunk.waypoints
+    n = len(wps)
     if n < 2:
         raise InvalidArgumentError("need at least 2 waypoints to upsample")
     if target_len < n:
         raise InvalidArgumentError("target_len must be >= chunk length")
-    out_wp = []
-    out_ph = []
-    for j in range(target_len):
-        u = j / (target_len - 1) * (n - 1)
-        i = min(int(u), n - 2)
-        s = u - i
-        a = chunk.waypoints[i]
-        b = chunk.waypoints[i + 1]
-        out_wp.append(Pose2(
-            (1.0 - s) * a.x + s * b.x,
-            (1.0 - s) * a.y + s * b.y,
-            blend_yaw(a.theta, b.theta, s),
-        ))
-        out_ph.append(chunk.phases[int(round(u))])
-    return ActionChunk(tuple(out_wp), tuple(out_ph), chunk.horizon, chunk.step)
+    u = np.arange(target_len) / (target_len - 1) * (n - 1)
+    i = np.minimum(u.astype(np.intp), n - 2)
+    s = u - i
+    r = 1.0 - s
+    x, y, theta = np.array(wps, dtype=float).T
+    theta = theta.tolist()
+    sin = np.array([math.sin(t) for t in theta])
+    cos = np.array([math.cos(t) for t in theta])
+    a, b = i, i + 1
+    sy = r * sin[a] + s * sin[b]
+    cy = r * cos[a] + s * cos[b]
+    yaw = list(map(math.atan2, sy.tolist(), cy.tolist()))
+    # |sy| + |cy| < 2e-12 holds for every blend whose hypot is below
+    # blend_yaw's 1e-12 cut, so blend_yaw decides all of those
+    edge = (s == 0.0) | (s == 1.0) | (np.abs(sy) + np.abs(cy) < 2e-12)
+    for j in np.flatnonzero(edge).tolist():
+        k = int(i[j])
+        yaw[j] = blend_yaw(wps[k].theta, wps[k + 1].theta, float(s[j]))
+    out_wp = tuple(map(Pose2, (r * x[a] + s * x[b]).tolist(),
+                       (r * y[a] + s * y[b]).tolist(), yaw))
+    phases = chunk.phases
+    out_ph = tuple([phases[k] for k in np.rint(u).astype(np.intp).tolist()])
+    return ActionChunk(out_wp, out_ph, chunk.horizon, chunk.step)
 
 
 def modulate(chunk: ActionChunk, current_phase: int) -> ActionChunk:

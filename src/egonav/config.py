@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import ConfigError
+from .chunks import TARGET_LEN
+from .errors import ConfigError, InvalidArgumentError
 from .retarget import RetargetConfig
 from .segmentation import PhaseConfig
 
@@ -32,7 +33,13 @@ class ChunkConfig:
     horizon: int = 10
     nav_step: int = 8        # frames between navigation samples
     manip_step: int = 4      # frames between manipulation samples
-    target_len: int = 100    # unified interpolated chunk length
+    target_len: int = TARGET_LEN  # unified interpolated chunk length
+
+    def __post_init__(self):
+        for name, low in (("horizon", 2), ("nav_step", 1), ("manip_step", 1),
+                          ("target_len", self.horizon)):
+            if getattr(self, name) < low:
+                raise InvalidArgumentError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -97,16 +104,14 @@ def parse_config(text: str) -> PipelineConfig:
         typ = {"float": float, "int": int, "str": str}.get(typ, typ)
         values[section][name] = _coerce(raw, typ, key)
 
-    try:
-        cfg = PipelineConfig(
-            ingest=IngestConfig(**values["ingest"]),
-            phase=PhaseConfig(**values["phase"]),
-            retarget=RetargetConfig(**values["retarget"]),
-            chunk=ChunkConfig(**values["chunk"]),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    sections = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            sections[section] = cls(**values[section])
+        except ValueError as exc:
+            # every section check names its key first: "window must be >= 1"
+            raise ConfigError(f"{section}.{exc}") from None
+    cfg = PipelineConfig(**sections, seed=seed)
     return cfg.with_seed(seed) if seed_set else cfg
 
 

@@ -7,13 +7,18 @@ optimizer and the simulator share one vectorized form of the same model
 (:func:`egonav.retarget.window_rollout`), which sums headings instead of
 wrapping them after every step; the two agree to rounding, not bit for
 bit, and the tests compare them.
+
+:class:`Pose2` is a :class:`typing.NamedTuple`: immutable, picklable and
+cheap to build, and, as a tuple of floats, untracked by the garbage
+collector. Being a tuple, a ``Pose2`` compares equal to the plain 3-tuple
+``(x, y, theta)`` with the same values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateOrientationError, InvalidArgumentError
 
@@ -45,8 +50,7 @@ def wrap(angle: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
-class Pose2:
+class Pose2(NamedTuple):
     """A planar pose (x, y, theta) in meters / radians."""
 
     x: float

@@ -65,6 +65,9 @@ class RetargetConfig:
         for name in ("lambda_pos", "lambda_yaw", "lambda_smooth"):
             if getattr(self, name) < 0:
                 raise InvalidArgumentError(f"{name} must be >= 0")
+        for name, low in (("window", 1), ("max_iters", 0), ("n_starts", 1)):
+            if getattr(self, name) < low:
+                raise InvalidArgumentError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,10 +6,59 @@ import pytest
 
 from egonav.chunks import (ActionChunk, blend_yaw, modulate, subsample,
                            upsample)
+from egonav.config import ChunkConfig
 from egonav.errors import InvalidArgumentError
-from egonav.geometry import Pose2, Pose3, wrap, yaw_quaternion
+from egonav.geometry import (Pose2, Pose3, project_to_ground, to_frame, wrap,
+                             yaw_quaternion)
 from egonav.ingest import Episode, FrameRecord
 from egonav.segmentation import MANIPULATION, NAVIGATION, PhaseTrack
+from egonav.simulator import SynthSegment, SynthSpec, synthesize
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:  # the property tests below are skipped without it
+    st = None
+
+
+def reference_subsample(ep, t0, horizon, step, phases, forward_axis="+x"):
+    """The point-by-point subsample that the sliced one must equal."""
+    if t0 + horizon * step >= len(ep.frames):
+        raise InvalidArgumentError("chunk exceeds episode length")
+    ref = project_to_ground(ep.frames[t0].head, forward_axis)
+    waypoints = []
+    labels = []
+    for i in range(1, horizon + 1):
+        idx = t0 + i * step
+        waypoints.append(to_frame(ref, project_to_ground(ep.frames[idx].head,
+                                                         forward_axis)))
+        labels.append(int(phases.labels[idx]))
+    return ActionChunk(tuple(waypoints), tuple(labels), horizon, step)
+
+
+def reference_upsample(chunk, target_len):
+    """The point-by-point upsample that the array-blended one must equal."""
+    n = len(chunk.waypoints)
+    out_wp = []
+    out_ph = []
+    for j in range(target_len):
+        u = j / (target_len - 1) * (n - 1)
+        i = min(int(u), n - 2)
+        s = u - i
+        a = chunk.waypoints[i]
+        b = chunk.waypoints[i + 1]
+        out_wp.append(Pose2(
+            (1.0 - s) * a.x + s * b.x,
+            (1.0 - s) * a.y + s * b.y,
+            blend_yaw(a.theta, b.theta, s),
+        ))
+        out_ph.append(chunk.phases[int(round(u))])
+    return ActionChunk(tuple(out_wp), tuple(out_ph), chunk.horizon, chunk.step)
+
+
+def bits(chunk):
+    """Every coordinate as float.hex, plus the phases, for exact comparison."""
+    return ([tuple(float.hex(float(c)) for c in p) for p in chunk.waypoints],
+            list(chunk.phases))
 
 
 def walk_episode(n=100, dx=0.02, fps=30.0):
@@ -107,6 +157,130 @@ class TestUpsample:
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
             upsample(chunk_of([Pose2(0, 0, 0)], [NAVIGATION]), 10)
+
+
+def stop_and_go_episode():
+    """Three 4 s manipulation stops, each followed by a straight and an arc."""
+    segs = []
+    for turn in (1.2, -0.9, 0.6):
+        segs += [SynthSegment("pause-and-manipulate", 4.0),
+                 SynthSegment("straight", 1.0, speed=1.0),
+                 SynthSegment("arc", 1.0, speed=1.0, turn_rate=turn)]
+    return synthesize(SynthSpec(tuple(segs), fps=60.0, noise_std=0.002, seed=5))
+
+
+def dataset_digest(ep, track, cfg, build_sub, build_up, stride=8):
+    """SHA-256 over every chunk's waypoints and phases, built as perfbench does."""
+    labels = track.labels.tolist()
+    h = hashlib.sha256()
+    count = 0
+    for t0 in range(0, len(labels), stride):
+        step = cfg.manip_step if labels[t0] == MANIPULATION else cfg.nav_step
+        if t0 + cfg.horizon * step >= len(labels):
+            continue
+        up = build_up(build_sub(ep, t0, cfg.horizon, step, track),
+                      cfg.target_len)
+        chunk = modulate(up, labels[t0])
+        h.update(np.array(chunk.waypoints, dtype=float).tobytes())
+        h.update(np.array(chunk.phases, dtype=np.int64).tobytes())
+        count += 1
+    return h.hexdigest(), count
+
+
+def test_dataset_digest_equals_reference():
+    ep, track = stop_and_go_episode()
+    cfg = ChunkConfig()
+    fast = dataset_digest(ep, track, cfg, subsample, upsample)
+    ref = dataset_digest(ep, track, cfg, reference_subsample, reference_upsample)
+    assert fast[1] > 100
+    assert fast == ref
+
+
+def test_subsample_rejects_negative_start_and_zero_step():
+    with pytest.raises(InvalidArgumentError):
+        subsample(walk_episode(), -1, 5, 8, nav_track())
+    with pytest.raises(InvalidArgumentError):
+        subsample(walk_episode(), 0, 5, 0, nav_track())
+
+
+def test_upsample_hits_waypoints_inside_the_grid():
+    # 10 -> 91 points puts grid points on interior waypoints (s == 0) as
+    # well as on the last one (s == 1); all take blend_yaw's edge rules
+    rng = np.random.default_rng(4)
+    poses = [Pose2(*rng.uniform(-1, 1, 2), rng.uniform(-4.0, 4.0))
+             for _ in range(10)]
+    chunk = chunk_of(poses, [NAVIGATION, MANIPULATION] * 5)
+    u = np.arange(91) / 90 * 9
+    assert np.count_nonzero(u == np.floor(u)) > 2
+    assert bits(upsample(chunk, 91)) == bits(reference_upsample(chunk, 91))
+
+
+def test_upsample_antipodal_midpoints_match_reference():
+    # every segment is a half turn, so each midpoint blend has zero norm
+    poses = [Pose2(0.1 * k, -0.2 * k, wrap(0.3 + k * math.pi))
+             for k in range(6)]
+    chunk = chunk_of(poses, [NAVIGATION] * 6)
+    assert bits(upsample(chunk, 11)) == bits(reference_upsample(chunk, 11))
+
+
+if st is not None:
+    PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=300)
+    coords = st.floats(-50.0, 50.0)
+    # yaws beyond (-pi, pi] exercise wrap on the s == 0 and s == 1 points
+    yaws = st.floats(-7.0, 7.0)
+
+    @st.composite
+    def chunks_to_upsample(draw):
+        """A chunk of 2-12 waypoints, its target length and how to store it."""
+        n = draw(st.integers(2, 12))
+        target_len = draw(st.integers(n, 150))
+        xs = draw(st.lists(coords, min_size=n, max_size=n))
+        ys = draw(st.lists(coords, min_size=n, max_size=n))
+        thetas = draw(st.lists(yaws, min_size=n, max_size=n))
+        for k in range(1, n):
+            how = draw(st.sampled_from(["free", "antipodal", "near-antipodal"]))
+            if how == "antipodal":
+                thetas[k] = wrap(thetas[k - 1] + math.pi)
+            elif how == "near-antipodal":
+                thetas[k] = thetas[k - 1] + math.pi + draw(
+                    st.floats(-1e-12, 1e-12))
+        if draw(st.booleans()):
+            xs, ys, thetas = (list(np.array(v)) for v in (xs, ys, thetas))
+        phases = draw(st.lists(st.sampled_from([MANIPULATION, NAVIGATION]),
+                               min_size=n, max_size=n))
+        return chunk_of(list(map(Pose2, xs, ys, thetas)), phases), target_len
+
+    @PROPERTY
+    @given(chunks_to_upsample())
+    @example((chunk_of([Pose2(0.0, 0.0, 0.0), Pose2(1.0, 0.0, math.pi)],
+                       [NAVIGATION] * 2), 3))
+    @example((chunk_of([Pose2(0.0, 0.0, 0.5), Pose2(1.0, 2.0, -0.5),
+                        Pose2(3.0, 1.0, 2.9)], [MANIPULATION] * 3), 5))
+    def test_upsample_bit_identical_to_reference(case):
+        chunk, target_len = case
+        assert bits(upsample(chunk, target_len)) == \
+            bits(reference_upsample(chunk, target_len))
+
+    @PROPERTY
+    @given(st.integers(0, 40), st.integers(1, 8), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_subsample_bit_identical_to_reference(t0, horizon, step, seed):
+        rng = np.random.default_rng(seed)
+        n = t0 + horizon * step + 1 + int(rng.integers(0, 3))
+        frames = tuple(
+            FrameRecord(k / 30.0, Pose3(tuple(rng.uniform(-5, 5, 3)),
+                                        yaw_quaternion(rng.uniform(-3, 3))))
+            for k in range(n))
+        track = PhaseTrack(rng.integers(0, 2, n).astype(np.int64))
+        ep = Episode(frames, fps=30.0)
+        fast = subsample(ep, t0, horizon, step, track)
+        ref = reference_subsample(ep, t0, horizon, step, track)
+        assert bits(fast) == bits(ref)
+        assert all(type(p) is int for p in fast.phases)
+else:
+    def test_chunk_properties_need_hypothesis():
+        pytest.skip("hypothesis is not installed")
 
 
 def random_chunk(rng, n=20):

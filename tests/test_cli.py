@@ -88,6 +88,31 @@ class TestExitCodes:
                      "--out", str(workdir / "art"),
                      "--config", str(workdir / "cfg.txt")]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "retarget.window = 0",
+        "retarget.max_iters = -1",
+        "retarget.n_starts = 0",
+        "chunk.horizon = 1",
+        "chunk.nav_step = 0",
+        "chunk.manip_step = 0",
+        "chunk.target_len = -3",
+        "chunk.target_len = 9",  # below the default horizon of 10
+    ], ids=lambda line: line.replace(" = ", "="))
+    def test_out_of_range_config_value_is_input_error(self, tmp_path, capsys,
+                                                      line):
+        spec = {"segments": [{"kind": "straight", "duration": 2.0}],
+                "fps": 30.0}
+        (tmp_path / "s.json").write_text(json.dumps(spec))
+        art = tmp_path / "art"
+        assert main(["synth", str(tmp_path / "s.json"), "--out", str(art)]) == 0
+        (tmp_path / "cfg.txt").write_text(line + "\n")
+        capsys.readouterr()
+        assert main(["retarget", str(art / "recording.jsonl"),
+                     "--out", str(tmp_path / "c.txt"),
+                     "--config", str(tmp_path / "cfg.txt")]) == 2
+        err = capsys.readouterr().err
+        assert line.split(" = ")[0] in err and "Traceback" not in err
+
     def test_no_hands_is_exit_3(self, tmp_path):
         spec = {"segments": [{"kind": "straight", "duration": 5.0}],
                 "fps": 30.0}

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -33,6 +34,32 @@ class TestWrap:
             wrap(float("nan"))
         with pytest.raises(InvalidArgumentError):
             wrap(float("inf"))
+
+
+class TestPose2:
+    def test_fields_are_read_only(self):
+        p = Pose2(1.0, 2.0, 0.5)
+        for name in ("x", "y", "theta"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 0.0)
+
+    def test_unpacks_as_x_y_theta(self):
+        x, y, theta = Pose2(1.0, 2.0, 0.5)
+        assert (x, y, theta) == (1.0, 2.0, 0.5)
+
+    def test_equals_plain_tuple(self):
+        assert Pose2(1.0, 2.0, 0.5) == (1.0, 2.0, 0.5)
+
+    def test_normalized_wraps_yaw(self):
+        p = Pose2(1.0, 2.0, 3 * math.pi / 2).normalized()
+        assert type(p) is Pose2
+        assert (p.x, p.y) == (1.0, 2.0)
+        assert p.theta == wrap(3 * math.pi / 2)
+
+    def test_pickle_round_trip(self):
+        p = Pose2(0.1, -0.2, 3.0)
+        q = pickle.loads(pickle.dumps(p))
+        assert type(q) is Pose2 and q == p
 
 
 class TestStep:
