@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import Pose2, project_to_ground, to_frame, wrap
+from .geometry import Pose2, ground_pose, to_frame, wrap
 from .ingest import Episode
 from .segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 
@@ -54,14 +54,14 @@ def subsample(ep: Episode, t0: int, horizon: int, step: int,
         raise InvalidArgumentError(
             f"chunk start {t0} must be >= 0 and step {step} >= 1")
     stop = t0 + horizon * step + 1
-    if stop > len(ep.frames):
+    if stop > len(ep.t):
         raise InvalidArgumentError(
-            f"chunk [{t0}, {stop - 1}] exceeds episode length "
-            f"{len(ep.frames)}"
-        )
-    ref = project_to_ground(ep.frames[t0].head, forward_axis)
-    waypoints = tuple([to_frame(ref, project_to_ground(f.head, forward_axis))
-                       for f in ep.frames[t0 + step:stop:step]])
+            f"chunk [{t0}, {stop - 1}] exceeds episode length {len(ep.t)}")
+    pos = ep.head_pos[t0:stop:step].tolist()
+    quat = ep.head_quat[t0:stop:step].tolist()
+    ref = ground_pose(pos[0], quat[0], forward_axis)
+    waypoints = tuple([to_frame(ref, ground_pose(p, q, forward_axis))
+                       for p, q in zip(pos[1:], quat[1:])])
     labels = tuple(phases.labels[t0 + step:stop:step].tolist())
     return ActionChunk(waypoints, labels, horizon, step)
 

@@ -27,6 +27,12 @@ class IngestConfig:
     forward_axis: str = "+x"
     fps: float = 30.0
 
+    def __post_init__(self):
+        if not self.d_thresh > 0:
+            raise InvalidArgumentError("d_thresh must be > 0")
+        if self.k_h < 1:
+            raise InvalidArgumentError("k_h must be >= 1")
+
 
 @dataclass(frozen=True)
 class ChunkConfig:

@@ -149,7 +149,13 @@ def rotate_vector(q: tuple[float, float, float, float],
 
 
 def project_to_ground(head: Pose3, forward_axis: str = "+x") -> Pose2:
-    """Project a 3D head pose onto the ground plane.
+    """Project a 3D head pose onto the ground plane (see :func:`ground_pose`)."""
+    return ground_pose(head.position, head.orientation, forward_axis)
+
+
+def ground_pose(position: Sequence[float], orientation: Sequence[float],
+                forward_axis: str = "+x") -> Pose2:
+    """Project a head position and unit quaternion (w, x, y, z) onto the ground.
 
     The planar position comes from (x, y); yaw is the atan2 of the rotated
     forward axis projected onto the plane. Which device axis points
@@ -159,12 +165,12 @@ def project_to_ground(head: Pose3, forward_axis: str = "+x") -> Pose2:
         axis = _AXES[forward_axis]
     except KeyError:
         raise InvalidArgumentError(f"unknown forward axis {forward_axis!r}") from None
-    fx, fy, fz = rotate_vector(head.orientation, axis)
+    fx, fy, fz = rotate_vector(orientation, axis)
     if math.hypot(fx, fy) < 1e-6:
         raise DegenerateOrientationError(
             "forward axis is (anti)parallel to gravity; yaw undefined"
         )
-    return Pose2(head.position[0], head.position[1], wrap(math.atan2(fy, fx)))
+    return Pose2(position[0], position[1], wrap(math.atan2(fy, fx)))
 
 
 def yaw_quaternion(theta: float) -> tuple[float, float, float, float]:

@@ -8,19 +8,24 @@ The on-disk recording format is line-delimited JSON, one frame per line:
 ``lh``/``rh`` (left/right hand) are optional per frame; ``c`` is the
 tracking confidence. Serialization uses shortest round-trip float repr,
 so serialize -> parse reproduces an episode bit-exactly.
+
+An :class:`Episode` holds a recording as numpy columns; the parser fills
+them straight from the decoded lines, and every later stage reads them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError, SchemaError
-from .geometry import Pose2, Pose3, project_to_ground, to_frame
+from .geometry import Pose2, Pose3, ground_pose, to_frame
 
 DEFAULT_D_THRESH = 0.25  # meters between consecutive waypoints
 
@@ -44,17 +49,122 @@ class FrameRecord:
         return [h for h in (self.left_hand, self.right_hand) if h is not None]
 
 
-@dataclass(frozen=True)
-class Episode:
-    frames: tuple[FrameRecord, ...]
-    fps: float
-    source: str = "human"  # "human" or "robot"
+# One frame as a row of numbers: t, head position (3), head quaternion
+# (w, x, y, z), then per hand (left, right) its position (3) and confidence.
+_WIDTH = 16
+_NO_HAND = (math.nan,) * 4
 
-    def __post_init__(self):
-        if not self.fps > 0:
-            raise InvalidArgumentError(f"fps must be positive, got {self.fps}")
-        if self.source not in ("human", "robot"):
-            raise InvalidArgumentError(f"unknown source {self.source!r}")
+
+def _hand_row(h: Optional[HandSample]) -> tuple:
+    return _NO_HAND if h is None else (*h.position, h.confidence)
+
+
+def _frame_record(t, p, q, hand_p, hand_c) -> FrameRecord:
+    hands = [None if math.isnan(c) else HandSample(tuple(hp), c)
+             for hp, c in zip(hand_p, hand_c)]
+    return FrameRecord(t, Pose3(tuple(p), tuple(q)), *hands)
+
+
+class Episode:
+    """A recording held as columns, one row per frame.
+
+    - ``t``: (n,) timestamps;
+    - ``head_pos``: (n, 3) head positions;
+    - ``head_quat``: (n, 4) head quaternions (w, x, y, z);
+    - ``hand_pos``: (n, 2, 3) left and right hand positions;
+    - ``hand_conf``: (n, 2) hand confidences.
+
+    Both hand columns hold NaN where a hand is absent. The arrays are
+    read-only. ``Episode(frames, fps, source)`` builds the columns from
+    :class:`FrameRecord` s, and :attr:`frames` reads them back as a lazy
+    view; the pipeline reads the columns and builds no ``FrameRecord``.
+    Two episodes are equal when their fps, source and frames are.
+    """
+
+    __slots__ = ("t", "head_pos", "head_quat", "hand_pos", "hand_conf",
+                 "fps", "source", "_rows")
+
+    def __init__(self, frames: Iterable[FrameRecord], fps: float,
+                 source: str = "human"):
+        rows = [(f.t, *f.head.position, *f.head.orientation,
+                 *_hand_row(f.left_hand), *_hand_row(f.right_hand))
+                for f in frames]
+        self._set(np.array(rows, dtype=float).reshape(-1, _WIDTH), fps, source)
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, fps: float, source: str) -> "Episode":
+        ep = cls.__new__(cls)
+        ep._set(rows, fps, source)
+        return ep
+
+    def _set(self, rows: np.ndarray, fps: float, source: str) -> None:
+        if not fps > 0:
+            raise InvalidArgumentError(f"fps must be positive, got {fps}")
+        if source not in ("human", "robot"):
+            raise InvalidArgumentError(f"unknown source {source!r}")
+        rows.setflags(write=False)
+        hands = rows[:, 8:].reshape(-1, 2, 4)
+        self._rows = rows
+        self.t = rows[:, 0]
+        self.head_pos = rows[:, 1:4]
+        self.head_quat = rows[:, 4:8]
+        self.hand_pos = hands[:, :, :3]
+        self.hand_conf = hands[:, :, 3]
+        self.fps = fps
+        self.source = source
+
+    @property
+    def frames(self) -> "FrameView":
+        return FrameView(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Episode):
+            return NotImplemented
+        return (self.fps == other.fps and self.source == other.source
+                and self.frames == other.frames)
+
+    def __repr__(self):
+        return (f"Episode(<{len(self.t)} frames>, fps={self.fps!r}, "
+                f"source={self.source!r})")
+
+
+class FrameView(Sequence):
+    """An episode's frames as a read-only sequence of :class:`FrameRecord`.
+
+    ``len`` is O(1); each item is built when it is read. The view equals
+    any sequence of equal frames (a tuple, a list or another view).
+    """
+
+    __slots__ = ("_ep",)
+
+    def __init__(self, ep: Episode):
+        self._ep = ep
+
+    def __len__(self):
+        return len(self._ep.t)
+
+    def __getitem__(self, index):
+        ep = self._ep
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        i = range(len(self))[index]
+        return _frame_record(float(ep.t[i]), ep.head_pos[i].tolist(),
+                             ep.head_quat[i].tolist(), ep.hand_pos[i].tolist(),
+                             ep.hand_conf[i].tolist())
+
+    def __iter__(self):
+        ep = self._ep
+        return map(_frame_record, ep.t.tolist(), ep.head_pos.tolist(),
+                   ep.head_quat.tolist(), ep.hand_pos.tolist(),
+                   ep.hand_conf.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self):
+        return f"FrameView({tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -168,27 +278,20 @@ def _decode(line: str, line_no: int):
         raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from None
 
 
-def _hand(h: dict) -> HandSample:
-    p = h["p"]
-    return HandSample((float(p[0]), float(p[1]), float(p[2])), float(h["c"]))
+def _check_quaternions(rows: np.ndarray, line_nos: list[int]) -> None:
+    """Raise the ParseError of the first row whose quaternion is not unit norm.
 
-
-def _parse_frame(line: str, line_no: int) -> FrameRecord:
-    obj = _decode(line, line_no)
-    # JSON true and false decode to bools, which sum like 1 and 0
-    if "true" in line or "false" in line or not _is_frame(obj):
-        _check_frame(obj, line_no)
-    head = obj["head"]
-    p, q = head["p"], head["q"]
-    try:
-        head_pose = Pose3((float(p[0]), float(p[1]), float(p[2])),
-                          (float(q[0]), float(q[1]), float(q[2]), float(q[3])))
-    except InvalidArgumentError as exc:
-        raise ParseError(str(exc), line_no) from None
-    lh, rh = obj.get("lh"), obj.get("rh")
-    return FrameRecord(float(obj["t"]), head_pose,
-                       None if lh is None else _hand(lh),
-                       None if rh is None else _hand(rh))
+    The norm is summed in the order ``Pose3`` sums it, so the same
+    quaternions pass and each message quotes the same norm.
+    """
+    w, x, y, z = rows[:, 4:8].T
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, and fails
+        norm = np.sqrt(w * w + x * x + y * y + z * z)
+    bad = np.flatnonzero(np.abs(norm - 1.0) > 1e-9)
+    if len(bad):
+        i = bad[0]
+        raise ParseError(f"quaternion norm {float(norm[i])} != 1",
+                         line_nos[i]) from None
 
 
 def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0,
@@ -196,42 +299,68 @@ def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0,
     """Parse a line-delimited recording into an Episode.
 
     Raises ParseError (with line number) on a malformed line: invalid
-    JSON, a missing field, a field of the wrong shape, or a value that is
-    not a finite number. Raises SchemaError on non-monotone timestamps or
-    empty input.
+    JSON, a missing field, a field of the wrong shape, a value that is
+    not a finite number, or a quaternion that is not of unit norm. Raises
+    SchemaError on non-monotone timestamps or empty input. The first
+    faulty line wins.
+
+    Each line's numbers go onto one flat list, which becomes the
+    episode's columns at the end; the quaternion norms are checked there,
+    over all rows at once, and also before any later line's error is
+    raised, so that an earlier faulty quaternion still wins.
     """
-    frames = []
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        frame = _parse_frame(line, line_no)
-        if frames and frame.t <= frames[-1].t:
-            raise SchemaError(
-                f"line {line_no}: timestamp {frame.t} not strictly increasing "
-                f"(previous {frames[-1].t})"
-            )
-        frames.append(frame)
-    if not frames:
+    flat: list = []
+    line_nos: list[int] = []
+    last_t = -math.inf
+    try:
+        for line_no, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            obj = _decode(line, line_no)
+            # JSON true and false decode to bools, which sum like 1 and 0
+            if "true" in line or "false" in line or not _is_frame(obj):
+                _check_frame(obj, line_no)
+            t = float(obj["t"])
+            head = obj["head"]
+            flat.append(t)
+            flat += head["p"]
+            flat += head["q"]
+            for key in ("lh", "rh"):
+                hand = obj.get(key)
+                if hand is None:
+                    flat += _NO_HAND
+                else:
+                    flat += hand["p"]
+                    flat.append(hand["c"])
+            # the row goes in first: a bad quaternion on this line wins
+            line_nos.append(line_no)
+            if t <= last_t:
+                raise SchemaError(
+                    f"line {line_no}: timestamp {t} not strictly increasing "
+                    f"(previous {last_t})"
+                )
+            last_t = t
+    except Exception:
+        _check_quaternions(np.array(flat, dtype=float).reshape(-1, _WIDTH),
+                           line_nos)
+        raise
+    if not line_nos:
         raise SchemaError("recording contains no frames")
-    return Episode(tuple(frames), fps=fps, source=source)
-
-
-def _hand_json(h: Optional[HandSample]):
-    if h is None:
-        return None
-    return {"p": list(h.position), "c": h.confidence}
+    rows = np.array(flat, dtype=float).reshape(-1, _WIDTH)
+    _check_quaternions(rows, line_nos)
+    return Episode._of_rows(rows, fps, source)
 
 
 def serialize_recording(ep: Episode, stream: IO[str]) -> None:
     """Write an episode in the recording line format (bit-exact round trip)."""
-    for f in ep.frames:
-        obj = {"t": f.t, "head": {"p": list(f.head.position),
-                                  "q": list(f.head.orientation)}}
-        if f.left_hand is not None:
-            obj["lh"] = _hand_json(f.left_hand)
-        if f.right_hand is not None:
-            obj["rh"] = _hand_json(f.right_hand)
+    for t, p, q, hand_p, hand_c in zip(ep.t.tolist(), ep.head_pos.tolist(),
+                                       ep.head_quat.tolist(), ep.hand_pos.tolist(),
+                                       ep.hand_conf.tolist()):
+        obj = {"t": t, "head": {"p": p, "q": q}}
+        for key, hp, c in zip(("lh", "rh"), hand_p, hand_c):
+            if not math.isnan(c):
+                obj[key] = {"p": hp, "c": c}
         stream.write(json.dumps(obj) + "\n")
 
 
@@ -239,14 +368,14 @@ def filter_confidence(ep: Episode) -> Episode:
     """Drop every frame where any present hand has confidence < 0.
 
     Data collectors may lift the glasses to reset a scene; those frames
-    carry negative tracking confidence and are excluded.
+    carry negative tracking confidence and are excluded. An absent hand's
+    NaN confidence compares false, so it never drops a frame.
     """
-    kept = tuple(
-        f for f in ep.frames
-        if all(h.confidence >= 0.0 for h in f.hands())
-    )
+    keep = ~(ep.hand_conf < 0.0).any(axis=1)
+    if keep.all():
+        return ep
     # May be empty if every frame was excluded; callers must handle that.
-    return Episode(kept, fps=ep.fps, source=ep.source)
+    return Episode._of_rows(ep._rows[keep], ep.fps, ep.source)
 
 
 def extract_waypoints(ep: Episode, d_thresh: float = DEFAULT_D_THRESH,
@@ -257,16 +386,19 @@ def extract_waypoints(ep: Episode, d_thresh: float = DEFAULT_D_THRESH,
     iff its planar distance from the most recent accepted waypoint is
     >= d_thresh. Yaw comes from ground projection of the head pose.
     """
-    if not ep.frames:
+    if not len(ep.t):
         raise InvalidArgumentError("episode has no frames")
-    waypoints = []
-    last_xy = None
-    for i, f in enumerate(ep.frames):
-        x, y = f.head.position[0], f.head.position[1]
-        if last_xy is None or math.hypot(x - last_xy[0], y - last_xy[1]) >= d_thresh:
-            waypoints.append((i, project_to_ground(f.head, forward_axis)))
-            last_xy = (x, y)
-    return WaypointTrack(tuple(waypoints), d_thresh=d_thresh, k_h=k_h)
+    xs, ys = ep.head_pos[:, 0].tolist(), ep.head_pos[:, 1].tolist()
+    last_x, last_y = xs[0], ys[0]
+    picked = [0]
+    for i in range(1, len(xs)):
+        if math.hypot(xs[i] - last_x, ys[i] - last_y) >= d_thresh:
+            picked.append(i)
+            last_x, last_y = xs[i], ys[i]
+    pos, quat = ep.head_pos[picked].tolist(), ep.head_quat[picked].tolist()
+    waypoints = tuple(zip(picked, [ground_pose(p, q, forward_axis)
+                                   for p, q in zip(pos, quat)]))
+    return WaypointTrack(waypoints, d_thresh=d_thresh, k_h=k_h)
 
 
 def egocentric_history(track: WaypointTrack, current: Pose2,

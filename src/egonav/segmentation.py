@@ -13,7 +13,6 @@ history, and a fixed covariance floor.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -79,26 +78,22 @@ class PhaseTrack:
 def velocities(ep: Episode) -> tuple[np.ndarray, np.ndarray]:
     """Backward-difference head (planar) and hand (3D) speeds per frame.
 
-    The first frame copies the second. Frames where a hand is absent in
-    either endpoint of the difference contribute 0 for that hand; when
-    both hands are trackable the faster one is used.
+    Reads the episode's ``t``, ``head_pos`` and ``hand_pos`` columns. The
+    first frame copies the second. A hand absent at either end of a
+    difference (a NaN row of ``hand_pos``) contributes 0 for that hand;
+    when both hands are trackable the faster one is used.
     """
-    n = len(ep.frames)
+    n = len(ep.t)
     if n < 2:
         raise InvalidArgumentError("need at least 2 frames for velocities")
-    t = np.array([f.t for f in ep.frames])
-    head = np.array([[f.head.position[0], f.head.position[1]] for f in ep.frames])
-    dt = np.diff(t)
+    dt = np.diff(ep.t)
     v_head = np.empty(n)
-    v_head[1:] = np.linalg.norm(np.diff(head, axis=0), axis=1) / dt
+    v_head[1:] = np.linalg.norm(np.diff(ep.head_pos[:, :2], axis=0), axis=1) / dt
     v_head[0] = v_head[1]
 
-    absent = (math.nan,) * 3
     v_hand = np.zeros(n)
-    for side in ("left_hand", "right_hand"):
-        pos = np.array([absent if h is None else h.position
-                        for h in (getattr(f, side) for f in ep.frames)])
-        speed = np.linalg.norm(np.diff(pos, axis=0), axis=1) / dt
+    for side in range(2):
+        speed = np.linalg.norm(np.diff(ep.hand_pos[:, side], axis=0), axis=1) / dt
         np.fmax(v_hand[1:], speed, out=v_hand[1:])  # NaN, an absent pair, loses
     v_hand[0] = v_hand[1]
     return v_head, v_hand
@@ -243,8 +238,7 @@ def classify(ep: Episode, model: GmmModel, cfg: PhaseConfig) -> PhaseTrack:
     is purely spatial, exactly as the candidate-driven fit defines it: a
     pause near a zone without manipulation will still be labeled 0.
     """
-    head = np.array([[f.head.position[0], f.head.position[1]] for f in ep.frames])
-    dens = gmm_pdf(model, head)
+    dens = gmm_pdf(model, ep.head_pos[:, :2])
     labels = np.where(dens >= cfg.tau_pdf, MANIPULATION, NAVIGATION)
     return PhaseTrack(labels.astype(np.int64))
 
@@ -259,8 +253,7 @@ def segment(ep: Episode, cfg: Optional[PhaseConfig] = None,
         raise NoManipulationZonesError(
             "no manipulation candidate frames after duration filtering"
         )
-    head = np.array([[f.head.position[0], f.head.position[1]] for f in ep.frames])
-    model = gmm_fit(head[mask], cfg, seed=seed)
+    model = gmm_fit(ep.head_pos[mask, :2], cfg, seed=seed)
     return classify(ep, model, cfg), model
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,58 @@ class TestParse:
     def test_undecodable_json_is_parse_error(self, line):
         with pytest.raises(ParseError, match=r"^line 1: invalid JSON: "):
             parse_recording(io.StringIO(line + "\n"))
+
+    def test_non_monotone_message(self):
+        text = '{"t": 0.5, %s}\n{"t": 0.25, %s}\n' % (self.HEAD, self.HEAD)
+        with pytest.raises(SchemaError) as exc:
+            parse_recording(io.StringIO(text))
+        assert str(exc.value) == ("line 2: timestamp 0.25 not strictly "
+                                  "increasing (previous 0.5)")
+
+    def test_non_unit_quaternion_message(self):
+        text = '{"t": 0.0, %s}\n{"t": 0.5, "head": {"p": [0, 0, 0], "q": [1, 1, 0, 0]}}\n' \
+            % self.HEAD
+        with pytest.raises(ParseError) as exc:
+            parse_recording(io.StringIO(text))
+        assert str(exc.value) == "line 2: quaternion norm 1.4142135623730951 != 1"
+
+    def test_overflowing_quaternion_is_parse_error_without_warning(self):
+        line = '{"t": 0.0, "head": {"p": [0, 0, 0], "q": [1e200, 0, 0, 0]}}\n'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as exc:
+                parse_recording(io.StringIO(line))
+        assert str(exc.value) == "line 1: quaternion norm inf != 1"
+
+    def test_bad_quaternion_wins_over_later_invalid_json(self):
+        text = ('{"t": 0.0, %s}\n'
+                '{"t": 0.5, "head": {"p": [0, 0, 0], "q": [0.5, 0, 0, 0]}}\n'
+                '{"t": 1.0, %s}\n'
+                '{not json\n') % (self.HEAD, self.HEAD)
+        with pytest.raises(ParseError) as exc:
+            parse_recording(io.StringIO(text))
+        assert str(exc.value) == "line 2: quaternion norm 0.5 != 1"
+
+    def test_bad_quaternion_wins_over_later_non_monotone_time(self):
+        text = ('{"t": 0.5, "head": {"p": [0, 0, 0], "q": [0.5, 0, 0, 0]}}\n'
+                '{"t": 0.5, %s}\n') % self.HEAD
+        with pytest.raises(ParseError, match="line 1"):
+            parse_recording(io.StringIO(text))
+
+    def test_bad_quaternion_wins_over_repeated_time_on_its_line(self):
+        text = ('{"t": 0.5, %s}\n'
+                '{"t": 0.5, "head": {"p": [0, 0, 0], "q": [0.5, 0, 0, 0]}}\n'
+                ) % self.HEAD
+        with pytest.raises(ParseError, match="line 2"):
+            parse_recording(io.StringIO(text))
+
+    def test_repeated_time_wins_over_later_string_field(self):
+        text = ('{"t": 0.5, %s}\n{"t": 0.5, %s}\n{"t": "x", %s}\n'
+                % (self.HEAD, self.HEAD, self.HEAD))
+        with pytest.raises(SchemaError) as exc:
+            parse_recording(io.StringIO(text))
+        assert str(exc.value) == ("line 2: timestamp 0.5 not strictly "
+                                  "increasing (previous 0.5)")
 
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(2)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from egonav.errors import ParseError, SchemaError
 from egonav.geometry import Pose3
 from egonav.ingest import (Episode, FrameRecord, HandSample, _check_frame,
-                           _is_frame, parse_recording, serialize_recording)
+                           _is_frame, filter_confidence, parse_recording,
+                           serialize_recording)
 
 # deterministic across runs, no example database, no timing flakes
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -46,6 +48,57 @@ def episodes(draw):
                              draw(unit_quaternions())), draw(hands), draw(hands))
         for t in times)
     return Episode(frames, fps=draw(st.floats(1.0, 240.0)))
+
+
+# int-valued fields and -0.0 next to arbitrary finite floats
+values = finite | st.integers(-10**6, 10**6) | st.just(-0.0)
+axis_quaternions = st.sampled_from([(1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1),
+                                    (-0.0, 0.0, 1.0, -0.0)])
+any_hands = st.none() | st.builds(HandSample, st.tuples(values, values, values),
+                                  values | st.floats(-1.0, 1.0))
+
+
+@st.composite
+def frame_lists(draw):
+    times = sorted(draw(st.lists(values, max_size=8, unique_by=float)))
+    return [FrameRecord(t, Pose3(draw(st.tuples(values, values, values)),
+                                 draw(unit_quaternions() | axis_quaternions)),
+                        draw(any_hands), draw(any_hands))
+            for t in times]
+
+
+def column_bits(ep):
+    cols = (ep.t, ep.head_pos, ep.head_quat, ep.hand_pos, ep.hand_conf)
+    return [[float.hex(v) for v in np.ravel(c).tolist()] for c in cols]
+
+
+def reference_filter(frames):
+    """The frame-wise confidence filter that the column mask replaces."""
+    return [f for f in frames if all(h.confidence >= 0.0 for h in f.hands())]
+
+
+@PROPERTY
+@given(frame_lists())
+def test_episode_frames_equal_the_frames_it_was_built_from(frames):
+    ep = Episode(frames, fps=30.0)
+    assert ep.frames == frames and frames == ep.frames
+    assert ep.frames == tuple(frames) and list(ep.frames) == frames
+    assert len(ep.frames) == len(frames)
+    assert [ep.frames[i] for i in range(-len(frames), len(frames))] == frames * 2
+
+
+@PROPERTY
+@given(frame_lists().filter(len))
+def test_parsed_columns_equal_constructed_columns_bit_for_bit(frames):
+    ep = Episode(frames, fps=30.0)
+    assert column_bits(parse_recording(lines_of(ep))) == column_bits(ep)
+
+
+@PROPERTY
+@given(frame_lists())
+def test_filter_confidence_matches_frame_wise_filter(frames):
+    assert filter_confidence(Episode(frames, fps=30.0)).frames == \
+        reference_filter(frames)
 
 
 @PROPERTY
