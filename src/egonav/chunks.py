@@ -6,18 +6,27 @@ frame at the observation time, upsampling to a unified length (linear
 x/y, atan2-blended yaw), and finally modulating waypoints with the
 predicted phase to keep the base still during manipulation.
 
-:func:`upsample` takes ``math.sin``/``math.cos`` once per input waypoint,
-blends x, y, sin and cos over the whole output grid as numpy arrays, and
-takes each output yaw with ``math.atan2`` (``np.arctan2`` differs from it
-by one ulp on some inputs). Grid points that land on a waypoint, and
-blends of near-zero norm, go through :func:`blend_yaw`, which owns those
-edge rules. The result is bit-identical to blending point by point.
+:func:`upsample` reads its interpolation grid (segment indices, weights,
+the points that land on a waypoint and the nearest-index phase map) from
+a small cache keyed by ``(n, target_len)``; the grid's arrays are
+read-only. It takes ``math.sin``/``math.cos`` once per input waypoint,
+blends x, y, sin and cos over the whole grid in one stacked numpy
+operation, and takes each output yaw with ``math.atan2`` (``np.arctan2``
+differs from it by one ulp on some inputs). Grid points that land on a
+waypoint, and blends of near-zero norm, go through :func:`blend_yaw`,
+which owns those edge rules. The output poses are built as ``Pose2``
+tuples directly, without a Python call per point. The result is
+bit-identical to blending point by point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +92,31 @@ def blend_yaw(theta_a: float, theta_b: float, s: float) -> float:
     return math.atan2(sy, cy)
 
 
+class _Grid(NamedTuple):
+    """The interpolation grid of one (n, target_len) pair."""
+
+    a: np.ndarray  # (T,) read-only: segment start index of each grid point
+    b: np.ndarray  # (T,) read-only: segment end index, a + 1
+    r: np.ndarray  # (T,) read-only: weight of a, 1 - s
+    s: np.ndarray  # (T,) read-only: weight of b
+    on_waypoint: tuple[tuple[int, int, float], ...]  # (j, a, s) where s is 0 or 1
+    nearest: operator.itemgetter  # picks the nearest source index's item per point
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(n: int, target_len: int) -> _Grid:
+    u = np.arange(target_len) / (target_len - 1) * (n - 1)
+    a = np.minimum(u.astype(np.intp), n - 2)
+    s = u - a
+    on = np.flatnonzero((s == 0.0) | (s == 1.0)).tolist()
+    grid = _Grid(a, a + 1, 1.0 - s, s,
+                 tuple(zip(on, a[on].tolist(), s[on].tolist())),
+                 operator.itemgetter(*np.rint(u).astype(np.intp).tolist()))
+    for arr in (grid.a, grid.b, grid.r, grid.s):
+        arr.flags.writeable = False
+    return grid
+
+
 def upsample(chunk: ActionChunk, target_len: int = TARGET_LEN) -> ActionChunk:
     """Interpolate a chunk to a fixed length on a uniform parameter grid.
 
@@ -90,35 +124,28 @@ def upsample(chunk: ActionChunk, target_len: int = TARGET_LEN) -> ActionChunk:
     and last outputs equal the first and last inputs; phases follow the
     nearest source index.
     """
-    wps = chunk.waypoints
-    n = len(wps)
+    n = len(chunk.waypoints)
     if n < 2:
         raise InvalidArgumentError("need at least 2 waypoints to upsample")
     if target_len < n:
         raise InvalidArgumentError("target_len must be >= chunk length")
-    u = np.arange(target_len) / (target_len - 1) * (n - 1)
-    i = np.minimum(u.astype(np.intp), n - 2)
-    s = u - i
-    r = 1.0 - s
-    x, y, theta = np.array(wps, dtype=float).T
-    theta = theta.tolist()
-    sin = np.array([math.sin(t) for t in theta])
-    cos = np.array([math.cos(t) for t in theta])
-    a, b = i, i + 1
-    sy = r * sin[a] + s * sin[b]
-    cy = r * cos[a] + s * cos[b]
+    g = _grid(n, target_len)
+    x, y, theta = zip(*chunk.waypoints)
+    ch = np.array([x, y, list(map(math.sin, theta)), list(map(math.cos, theta))],
+                  dtype=float)
+    xs, ys, sy, cy = g.r * ch[:, g.a] + g.s * ch[:, g.b]
     yaw = list(map(math.atan2, sy.tolist(), cy.tolist()))
+    for j, k, s in g.on_waypoint:
+        yaw[j] = blend_yaw(theta[k], theta[k + 1], s)
     # |sy| + |cy| < 2e-12 holds for every blend whose hypot is below
-    # blend_yaw's 1e-12 cut, so blend_yaw decides all of those
-    edge = (s == 0.0) | (s == 1.0) | (np.abs(sy) + np.abs(cy) < 2e-12)
-    for j in np.flatnonzero(edge).tolist():
-        k = int(i[j])
-        yaw[j] = blend_yaw(wps[k].theta, wps[k + 1].theta, float(s[j]))
-    out_wp = tuple(map(Pose2, (r * x[a] + s * x[b]).tolist(),
-                       (r * y[a] + s * y[b]).tolist(), yaw))
-    phases = chunk.phases
-    out_ph = tuple([phases[k] for k in np.rint(u).astype(np.intp).tolist()])
-    return ActionChunk(out_wp, out_ph, chunk.horizon, chunk.step)
+    # blend_yaw's 1e-12 cut, so blend_yaw decides all of those; no grid
+    # point on a waypoint is among them, as its |sy| + |cy| is >= 1
+    for j in np.flatnonzero(np.abs(sy) + np.abs(cy) < 2e-12).tolist():
+        k = int(g.a[j])
+        yaw[j] = blend_yaw(theta[k], theta[k + 1], float(g.s[j]))
+    out_wp = tuple(map(tuple.__new__, repeat(Pose2),
+                       zip(xs.tolist(), ys.tolist(), yaw)))
+    return ActionChunk(out_wp, g.nearest(chunk.phases), chunk.horizon, chunk.step)
 
 
 def modulate(chunk: ActionChunk, current_phase: int) -> ActionChunk:

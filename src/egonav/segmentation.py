@@ -143,11 +143,29 @@ def _kmeanspp_init(points: np.ndarray, k: int,
 
 def _log_gauss(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Log density of a bivariate normal at each point."""
-    diff = points - mean
+    dx = points[:, 0] - mean[0]
+    dy = points[:, 1] - mean[1]
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
     inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
-    maha = np.einsum("ni,ij,nj->n", diff, inv, diff)
-    return -0.5 * (maha + np.log(det)) - np.log(2.0 * np.pi)
+    # diff @ inv @ diff per point, rounded as einsum("ni,ij,nj->n") rounds
+    # it: four products (d_i * inv_ij) * d_j, added in (i, j) order, except
+    # that for up to two points einsum sums each i's pair and then the sums
+    maha = dx * inv[0, 0]
+    maha *= dx
+    if len(maha) <= 2:
+        maha += dx * inv[0, 1] * dy
+        maha += dy * inv[1, 0] * dx + dy * inv[1, 1] * dy
+    else:
+        term = np.empty_like(maha)
+        for di, inv_ij, dj in ((dx, inv[0, 1], dy), (dy, inv[1, 0], dx),
+                               (dy, inv[1, 1], dy)):
+            np.multiply(di, inv_ij, out=term)
+            term *= dj
+            maha += term
+    maha += np.log(det)
+    maha *= -0.5
+    maha -= np.log(2.0 * np.pi)
+    return maha
 
 
 def _log_joint(model: GmmModel, points: np.ndarray) -> np.ndarray:
@@ -285,7 +303,12 @@ def read_phase_file(path) -> tuple[PhaseTrack, Optional[GmmModel], PhaseConfig, 
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"{path}: a phase file must hold a JSON object")
     try:
-        track = PhaseTrack(np.asarray(obj["labels"], dtype=np.int64))
+        labels = obj["labels"]
+        if not (isinstance(labels, list) and set(map(type, labels)) <= {int}
+                and set(labels) <= {MANIPULATION, NAVIGATION}):
+            raise ValueError("'labels' must be a list of 0 (manipulation) "
+                             "and 1 (navigation)")
+        track = PhaseTrack(np.asarray(labels, dtype=np.int64))
         model = None
         if obj.get("gmm") is not None:
             g = obj["gmm"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -235,8 +236,11 @@ def read_sim_file(path) -> dict:
         if key not in obj:
             raise InvalidArgumentError(f"{path}: missing field {key!r}")
     for key in ("poses", "desired"):
+        # abs(c) <= max fails on NaN, infinities and ints beyond float range
         if not (isinstance(obj[key], list) and all(
                 isinstance(p, list) and len(p) == 3
-                and all(isinstance(c, (int, float)) for c in p) for p in obj[key])):
-            raise InvalidArgumentError(f"{path}: {key!r} must be a list of [x, y, theta]")
+                and all(type(c) in (int, float) and abs(c) <= sys.float_info.max
+                        for c in p) for p in obj[key])):
+            raise InvalidArgumentError(
+                f"{path}: {key!r} must be a list of [x, y, theta] finite numbers")
     return obj

@@ -1,9 +1,11 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from egonav import chunks
 from egonav.chunks import (ActionChunk, blend_yaw, modulate, subsample,
                            upsample)
 from egonav.config import ChunkConfig
@@ -221,6 +223,38 @@ def test_upsample_antipodal_midpoints_match_reference():
              for k in range(6)]
     chunk = chunk_of(poses, [NAVIGATION] * 6)
     assert bits(upsample(chunk, 11)) == bits(reference_upsample(chunk, 11))
+
+
+def test_upsample_outputs_are_pose2():
+    rng = np.random.default_rng(6)
+    up = upsample(random_chunk(rng, 10), 100)
+    assert all(type(p) is Pose2 for p in up.waypoints)
+    p = up.waypoints[37]
+    assert p.theta == p[2]
+    assert p._asdict() == {"x": p[0], "y": p[1], "theta": p[2]}
+    again = pickle.loads(pickle.dumps(up.waypoints))
+    assert again == up.waypoints and all(type(q) is Pose2 for q in again)
+
+
+def test_upsample_grid_is_read_only():
+    grid = chunks._grid(10, 100)
+    for arr in (grid.a, grid.b, grid.r, grid.s):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_upsample_alternating_shapes_match_reference():
+    # more (n, target_len) pairs than the grid cache holds, revisited in
+    # turn, so every call meets a hit, a miss or an evicted-and-rebuilt grid
+    rng = np.random.default_rng(9)
+    pairs = [(n, target_len) for n in (2, 3, 10, 11, 12)
+             for target_len in (n, 17, 40, 100)]
+    assert len(set(pairs)) > chunks._grid.cache_info().maxsize
+    for _ in range(3):
+        for n, target_len in pairs:
+            chunk = random_chunk(rng, n)
+            assert bits(upsample(chunk, target_len)) == \
+                bits(reference_upsample(chunk, target_len))
 
 
 if st is not None:

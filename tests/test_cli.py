@@ -339,13 +339,40 @@ class TestArtifactReaders:
         code, err = self.report(workdir, capsys)
         assert code == 2 and str(sim) in err
 
+    @pytest.mark.parametrize("key", ["poses", "desired"])
+    @pytest.mark.parametrize("coord", [float("nan"), float("inf"),
+                                       -float("inf"), True],
+                             ids=["nan", "inf", "-inf", "bool"])
+    def test_sim_file_non_finite_or_bool_coordinate(self, workdir, capsys,
+                                                    key, coord):
+        run_pipeline(workdir)
+        sim = workdir / "art" / "sim.json"
+        self.edit_json(sim, lambda obj: obj[key].__setitem__(3, [coord, 0, 0]))
+        code, err = self.report(workdir, capsys)
+        assert code == 2
+        assert str(sim) in err and repr(key) in err
+        assert not (workdir / "rep2" / "trajectory.svg").exists()
+
+    @pytest.mark.parametrize("label", [7, 2.7, 1.0, True, "1", -1, {"0": 1}],
+                             ids=["seven", "fraction", "float-one", "bool",
+                                  "string", "negative", "object"])
+    def test_phase_file_label_outside_0_1(self, workdir, capsys, label):
+        run_pipeline(workdir)
+        phases = workdir / "art" / "phases.json"
+        self.edit_json(phases, lambda obj: obj["labels"].__setitem__(5, label))
+        code, err = self.report(workdir, capsys)
+        assert code == 2
+        assert str(phases) in err and "'labels'" in err
+
     @pytest.mark.parametrize("edit, words", [
         (lambda obj: obj.pop("labels"), "'labels'"),
         (lambda obj: obj.pop("config"), "'config'"),
         (lambda obj: obj.pop("seed"), "'seed'"),
         (lambda obj: obj["config"].update(not_a_knob=1), "not_a_knob"),
         (lambda obj: obj.update(seed="abc"), "abc"),
-    ], ids=["labels", "config", "seed", "unknown-config-key", "bad-seed"])
+        (lambda obj: obj.update(labels={"0": 1}), "'labels'"),
+    ], ids=["labels", "config", "seed", "unknown-config-key", "bad-seed",
+            "labels-not-a-list"])
     def test_phase_file_malformed(self, workdir, capsys, edit, words):
         run_pipeline(workdir)
         phases = workdir / "art" / "phases.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from egonav import segmentation
 from egonav.errors import InvalidArgumentError, NoManipulationZonesError
 from egonav.geometry import Pose3, yaw_quaternion
 from egonav.ingest import Episode, FrameRecord, HandSample
@@ -14,6 +15,20 @@ from egonav.segmentation import (MANIPULATION, NAVIGATION, GmmModel,
 from egonav.simulator import score_segmentation, synthesize
 
 from conftest import two_zone_spec
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:  # the property test below is skipped without it
+    st = None
+
+
+def reference_log_gauss(points, mean, cov):
+    """The einsum E-step density that ``_log_gauss`` must equal bit for bit."""
+    diff = points - mean
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
+    maha = np.einsum("ni,ij,nj->n", diff, inv, diff)
+    return -0.5 * (maha + np.log(det)) - np.log(2.0 * np.pi)
 
 
 def make_episode(head_xy, hand_pos=None, fps=30.0):
@@ -252,3 +267,50 @@ def test_phase_file_round_trip(tmp_path):
     assert np.allclose(model.means, model2.means)
     assert cfg2 == cfg
     assert seed == 1
+
+
+if st is not None:
+    @st.composite
+    def gauss_cases(draw):
+        """Points around an SPD covariance of the given scale and condition."""
+        n = draw(st.integers(1, 3000))
+        scale = draw(st.floats(1e-3, 1e3))
+        cond = draw(st.floats(1.0, 1e8))
+        angle = draw(st.floats(-math.pi, math.pi))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        rot = np.array([[math.cos(angle), -math.sin(angle)],
+                        [math.sin(angle), math.cos(angle)]])
+        cov = rot @ np.diag([scale ** 2, scale ** 2 / cond]) @ rot.T
+        cov = (cov + cov.T) / 2.0
+        mean = rng.normal(0.0, 10.0 * scale, 2)
+        spread = scale * draw(st.floats(0.1, 10.0))
+        return mean + rng.normal(0.0, spread, (n, 2)), mean, cov
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(gauss_cases())
+    @example((np.array([[1e3, -1e3]]), np.zeros(2),
+              np.array([[1e6, 0.0], [0.0, 1e-2]])))
+    @example((np.array([[1.89772486, -1.21614852], [0.3, 0.7]]),
+              np.array([1.25730221, -1.32104863]),
+              np.array([[0.77205073, 0.41725834], [0.41725834, 0.23621373]])))
+    def test_log_gauss_bit_identical_to_einsum(case):
+        points, mean, cov = case
+        assert np.linalg.eigvalsh(cov).min() > 0
+        fast = segmentation._log_gauss(points, mean, cov)
+        assert fast.tobytes() == reference_log_gauss(points, mean, cov).tobytes()
+else:
+    def test_log_gauss_property_needs_hypothesis():
+        pytest.skip("hypothesis is not installed")
+
+
+def test_segment_unchanged_with_einsum_log_gauss(monkeypatch):
+    ep, _ = synthesize(two_zone_spec(seed=5))
+    cfg = PhaseConfig(k_components=3)
+    track, model = segment(ep, cfg, seed=3)
+    monkeypatch.setattr(segmentation, "_log_gauss", reference_log_gauss)
+    ref_track, ref_model = segment(ep, cfg, seed=3)
+    assert model.log_likelihoods == ref_model.log_likelihoods
+    assert len(model.log_likelihoods) > 2
+    for name in ("weights", "means", "covariances"):
+        assert getattr(model, name).tobytes() == getattr(ref_model, name).tobytes()
+    assert np.array_equal(track.labels, ref_track.labels)
