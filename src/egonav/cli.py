@@ -4,8 +4,8 @@ Subcommands: synth, segment, retarget, simulate, report. Exit codes form
 a stable contract: 0 success, 2 input/validation error, 3 no
 manipulation zones found, 4 solver numerical failure.
 
-Set EMMA_RETARGET_THREADS to cap the worker threads used when several
-recordings are processed in one segment/retarget invocation.
+When several recordings are given to one segment or retarget call, they
+run on up to one thread per core.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import ingest, report, retarget, segmentation, simulator
@@ -28,17 +29,6 @@ EXIT_NO_ZONES = 3
 EXIT_NUMERICAL = 4
 
 
-def _thread_cap(n_tasks: int) -> int:
-    raw = os.environ.get("EMMA_RETARGET_THREADS")
-    cap = n_tasks
-    if raw:
-        try:
-            cap = max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"EMMA_RETARGET_THREADS={raw!r} is not an integer")
-    return max(1, min(cap, n_tasks))
-
-
 def _load_episode(path, cfg) -> ingest.Episode:
     with open(path) as fh:
         return ingest.parse_recording(fh, fps=cfg.ingest.fps)
@@ -49,11 +39,30 @@ def _waypoint_track(path, cfg) -> ingest.WaypointTrack:
                                     cfg.ingest.k_h, cfg.ingest.forward_axis)
 
 
-def _out_path(out: Path, recordings, current, suffix: str) -> Path:
+def _out_paths(out: Path, recordings, suffix: str) -> list[Path]:
+    """Each recording's output: ``out`` for one, else ``out/<stem><suffix>``.
+
+    Two recordings whose outputs would be one file raise
+    :class:`InvalidArgumentError` before any work starts.
+    """
     if len(recordings) == 1:
-        return out
+        return [out]
+    owners: dict[Path, str] = {}
+    for rec in recordings:
+        path = out / (Path(rec).stem + suffix)
+        if path in owners:
+            raise InvalidArgumentError(
+                f"recordings {owners[path]} and {rec} would both write {path}")
+        owners[path] = rec
     out.mkdir(parents=True, exist_ok=True)
-    return out / (Path(current).stem + suffix)
+    return list(owners)
+
+
+def _for_each(run, recordings, outs) -> None:
+    """``run(recording, out)`` for each pair, on up to one thread per core."""
+    workers = min(len(recordings), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, recordings, outs))
 
 
 def cmd_synth(args, cfg) -> int:
@@ -76,40 +85,29 @@ def cmd_synth(args, cfg) -> int:
 
 
 def cmd_segment(args, cfg) -> int:
-    recordings = args.recording
-    out = Path(args.out)
+    outs = _out_paths(Path(args.out), args.recording, ".phases.json")
 
-    def run(path):
-        ep = _load_episode(path, cfg)
-        ep = ingest.filter_confidence(ep)
+    def run(path, out):
+        ep = ingest.filter_confidence(_load_episode(path, cfg))
         track, model = segmentation.segment(ep, cfg.phase, seed=cfg.seed)
-        segmentation.write_phase_file(
-            _out_path(out, recordings, path, ".phases.json"),
-            track, model, cfg.phase, cfg.seed)
+        segmentation.write_phase_file(out, track, model, cfg.phase, cfg.seed)
 
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(recordings))) as pool:
-        for f in [pool.submit(run, p) for p in recordings]:
-            f.result()
+    _for_each(run, args.recording, outs)
     return EXIT_OK
 
 
 def cmd_retarget(args, cfg) -> int:
-    recordings = args.recording
-    out = Path(args.out)
+    outs = _out_paths(Path(args.out), args.recording, ".commands.txt")
 
-    def run(path):
+    def run(path, out):
         track = _waypoint_track(path, cfg)
         if len(track.waypoints) < 2:
             solutions = []  # stationary recording: nothing to command
         else:
             solutions = retarget.retarget_track(track, cfg.retarget)
-        retarget.write_command_file(
-            _out_path(out, recordings, path, ".commands.txt"),
-            solutions, cfg.retarget.dt)
+        retarget.write_command_file(out, solutions, cfg.retarget.dt)
 
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(recordings))) as pool:
-        for f in [pool.submit(run, p) for p in recordings]:
-            f.result()
+    _for_each(run, args.recording, outs)
     return EXIT_OK
 
 
@@ -165,20 +163,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "differential-drive velocity commands.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help=None):
         p.add_argument("--config", help="pipeline config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        if seed_help:  # only where the seed changes an output
+            p.add_argument("--seed", type=int, help=seed_help)
 
     p = sub.add_parser("synth", help="generate a synthetic recording")
     p.add_argument("spec", help="synthesis spec (JSON)")
     p.add_argument("--out", required=True, help="output directory")
-    common(p)
+    common(p, "override the spec's seed and the config seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("segment", help="label manipulation/navigation phases")
     p.add_argument("recording", nargs="+")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, "override the config seed, which seeds the EM fit")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("retarget", help="solve for velocity commands")
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="summary format: report.txt or report.json")
-    common(p)
+    common(p, "override the config seed echoed in the summary")
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -208,8 +207,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = cfg.with_seed(args.seed)
+        if getattr(args, "seed", None) is not None:
+            cfg = replace(cfg, seed=args.seed)
         return args.func(args, cfg)
     except NoManipulationZonesError as exc:
         print(f"egonav: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ defaults for every stage. Unknown keys are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .chunks import TARGET_LEN
 from .errors import ConfigError, InvalidArgumentError
@@ -54,11 +54,7 @@ class PipelineConfig:
     phase: PhaseConfig = field(default_factory=PhaseConfig)
     retarget: RetargetConfig = field(default_factory=RetargetConfig)
     chunk: ChunkConfig = field(default_factory=ChunkConfig)
-    seed: int = 0
-
-    def with_seed(self, seed: int) -> "PipelineConfig":
-        return replace(self, seed=seed,
-                       retarget=replace(self.retarget, seed=seed))
+    seed: int = 0  # the one seed: it seeds segmentation's EM initialization
 
 
 _SECTIONS = {
@@ -86,7 +82,6 @@ def parse_config(text: str) -> PipelineConfig:
     """Parse config text; unknown keys or malformed lines raise ConfigError."""
     values: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     seed = 0
-    seed_set = False
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -96,7 +91,6 @@ def parse_config(text: str) -> PipelineConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key == "seed":
             seed = _coerce(raw, int, key)
-            seed_set = True
             continue
         if "." not in key:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
@@ -117,8 +111,7 @@ def parse_config(text: str) -> PipelineConfig:
         except ValueError as exc:
             # every section check names its key first: "window must be >= 1"
             raise ConfigError(f"{section}.{exc}") from None
-    cfg = PipelineConfig(**sections, seed=seed)
-    return cfg.with_seed(seed) if seed_set else cfg
+    return PipelineConfig(**sections, seed=seed)
 
 
 def load_config(path=None) -> PipelineConfig:

@@ -206,7 +206,8 @@ def _list(obj: dict, key: str, n: int, name: str, line_no: int) -> list:
     return p
 
 
-def _finite(v) -> bool:
+def finite_number(v) -> bool:
+    """Whether ``v`` is a finite int or float; a bool is not a number here."""
     try:
         return type(v) in (int, float) and math.isfinite(v)  # not a bool
     except OverflowError:  # an int beyond the float range
@@ -251,7 +252,7 @@ def _check_frame(obj, line_no: int) -> None:
             fields[key + ".p"] = _list(hand, "p", 3, key + ".p", line_no)
             fields[key + ".c"] = [_entry(hand, "c", key + ".c", line_no)]
     for name, values in fields.items():
-        if not all(map(_finite, values)):
+        if not all(map(finite_number, values)):
             raise ParseError(f"field {name!r} must hold finite numbers", line_no)
 
 

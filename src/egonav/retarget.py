@@ -7,7 +7,7 @@ weighted by the square roots of lambda_pos, lambda_yaw, lambda_smooth.
 :func:`window_rollout` yields them and their closed-form Jacobian J.
 :func:`solve` runs Bertsekas's epsilon-active-set projected Newton method
 (SIAM J. Control Optim. 20(2), 1982) with an Armijo search along the
-projected arc, from a small multi-start. Its Hessian is the Gauss-Newton
+projected arc, from two deterministic starts. Its Hessian is the Gauss-Newton
 2 J^T J until a step cuts the cost by less than ``NEWTON_SWITCH`` (20%):
 the next step then tries the exact 2 (J^T J + S), S = sum_i r_i Hess(r_i)
 in closed form, and takes it if its free block is positive definite
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
 from .geometry import TWO_PI, Pose2, VelocityCommand, wrap
-from .ingest import WaypointTrack
+from .ingest import WaypointTrack, finite_number
 
 # a step that cuts the cost by less than this fraction makes the next step
 # try the exact Hessian instead of the Gauss-Newton one
@@ -51,9 +51,8 @@ class RetargetConfig:
     dt: float = 0.16  # 0.02 s frame period x 8-frame sampling step
     max_iters: int = 500
     grad_tol: float = 1e-6
-    n_starts: int = 3
+    n_starts: int = 2  # 1: zeros only; 2: also the finite-difference inversion
     window: int = 10  # waypoints per optimization window
-    seed: int = 0
 
     def __post_init__(self):
         if not self.v_min < self.v_max:
@@ -68,6 +67,8 @@ class RetargetConfig:
         for name, low in (("window", 1), ("max_iters", 0), ("n_starts", 1)):
             if getattr(self, name) < low:
                 raise InvalidArgumentError(f"{name} must be >= {low}")
+        if self.n_starts > 2:
+            raise InvalidArgumentError("n_starts must be <= 2")
 
 
 @dataclass(frozen=True)
@@ -284,20 +285,18 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def solve(prob: RetargetProblem) -> RetargetSolution:
     """Minimize the tracking objective over box-bounded commands.
 
-    Multi-start (zeros, finite-difference inversion of the waypoints, and
-    seeded uniform random commands) guards against local minima of the
-    nonconvex shooting objective; the lowest-cost run wins and reports
-    its own iteration count and convergence.
+    Runs from zero commands and, with ``n_starts = 2``, also from the
+    finite-difference inversion of the waypoints, which guards the
+    nonconvex shooting objective against a poor local minimum; the
+    lower-cost run wins and reports its own iteration count and
+    convergence. Both starts are deterministic, so one problem always
+    gets one answer.
     """
     cfg = prob.config
     K = len(prob.desired)
     starts = [np.zeros((K, 2))]
-    if cfg.n_starts >= 2:
+    if cfg.n_starts == 2:
         starts.append(_fd_inversion_init(prob))
-    if cfg.n_starts >= 3:
-        rng = np.random.default_rng(cfg.seed)
-        starts.append(np.column_stack([rng.uniform(cfg.v_min, cfg.v_max, K),
-                                       rng.uniform(cfg.omega_min, cfg.omega_max, K)]))
 
     model = _Window(prob)
     lo, hi = np.tile([[cfg.v_min, cfg.omega_min], [cfg.v_max, cfg.omega_max]], K)
@@ -411,13 +410,25 @@ def write_command_file(path, solutions: Sequence[RetargetSolution],
                 fh.write(f"{i} {c.v!r} {c.omega!r} {dt!r}\n")
 
 
+_COSTS = ("cost_total", "cost_pos", "cost_yaw", "cost_smooth")
+
+
+def _number(raw: str) -> float:
+    """``raw`` as a float; a value that is not finite raises ValueError."""
+    x = float(raw)
+    if not finite_number(x):
+        raise ValueError(f"{raw!r} is not finite")
+    return x
+
+
 def read_command_file(path) -> tuple[list[RetargetSolution], float]:
     """Rebuild solutions (commands + reported costs) from a command file.
 
-    A malformed row or '#!' token, or a window without a complete
-    '#! window=' record, raises :class:`InvalidArgumentError`.
+    A malformed row or '#!' token, a command or cost that is not a finite
+    number, or a window without a '#! window=' record raises
+    :class:`InvalidArgumentError`.
     """
-    metas: dict[int, dict] = {}
+    metas: dict[int, tuple] = {}
     cmds: dict[int, list[VelocityCommand]] = {}
     dt = None
     with open(path) as fh:
@@ -427,31 +438,26 @@ def read_command_file(path) -> tuple[list[RetargetSolution], float]:
                 if line.startswith("#!"):
                     fields = dict(kv.split("=") for kv in line[2:].split())
                     if "window" in fields:
-                        metas[int(fields["window"])] = fields
+                        metas[int(fields["window"])] = (
+                            *(_number(fields[k]) for k in _COSTS),
+                            int(fields["iterations"]), bool(int(fields["converged"])))
                     else:
-                        dt = float(fields["dt"])
+                        dt = _number(fields["dt"])
                 elif line.startswith("#") or not line:
                     continue
                 else:
                     w, v, omega, dt_s = line.split()
                     cmds.setdefault(int(w), []).append(
-                        VelocityCommand(float(v), float(omega)))
-                    dt = float(dt_s)
+                        VelocityCommand(_number(v), _number(omega)))
+                    dt = _number(dt_s)
             except (KeyError, ValueError):
                 raise InvalidArgumentError(
                     f"command file {path} line {n}: malformed row {line!r}") from None
-    solutions = []
-    for w in sorted(cmds):
-        m = metas.get(w, {})
-        try:
-            solutions.append(RetargetSolution(
-                tuple(cmds[w]), float(m["cost_total"]), float(m["cost_pos"]),
-                float(m["cost_yaw"]), float(m["cost_smooth"]),
-                int(m["iterations"]), bool(int(m["converged"]))))
-        except (KeyError, ValueError):
-            raise InvalidArgumentError(
-                f"command file {path}: window {w} has no complete "
-                f"'#! window={w}' record") from None
+    missing = sorted(cmds.keys() - metas.keys())
+    if missing:
+        raise InvalidArgumentError(
+            f"command file {path}: window {missing[0]} has no "
+            f"'#! window={missing[0]}' record")
     if dt is None:
         raise InvalidArgumentError(f"command file {path} has no dt record")
-    return solutions, dt
+    return [RetargetSolution(tuple(cmds[w]), *metas[w]) for w in sorted(cmds)], dt

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .geometry import Pose2, wrap, yaw_quaternion, Pose3
-from .ingest import Episode, FrameRecord, HandSample
+from .ingest import Episode, FrameRecord, HandSample, finite_number
 from .retarget import RetargetConfig, RetargetSolution, chain_windows
 from .segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 
@@ -235,12 +234,13 @@ def read_sim_file(path) -> dict:
     for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy", "poses"):
         if key not in obj:
             raise InvalidArgumentError(f"{path}: missing field {key!r}")
+    for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy"):
+        if not finite_number(obj[key]):
+            raise InvalidArgumentError(f"{path}: {key!r} must be a finite number")
     for key in ("poses", "desired"):
-        # abs(c) <= max fails on NaN, infinities and ints beyond float range
         if not (isinstance(obj[key], list) and all(
-                isinstance(p, list) and len(p) == 3
-                and all(type(c) in (int, float) and abs(c) <= sys.float_info.max
-                        for c in p) for p in obj[key])):
+                isinstance(p, list) and len(p) == 3 and all(map(finite_number, p))
+                for p in obj[key])):
             raise InvalidArgumentError(
                 f"{path}: {key!r} must be a list of [x, y, theta] finite numbers")
     return obj

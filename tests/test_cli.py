@@ -1,10 +1,12 @@
 import io
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from egonav import chunks, ingest, report, segmentation
+from egonav import chunks, cli, ingest, report, segmentation
 from egonav.cli import main
 from egonav.config import load_config
 from egonav.geometry import Pose2
@@ -93,6 +95,8 @@ class TestExitCodes:
         "retarget.window = 0",
         "retarget.max_iters = -1",
         "retarget.n_starts = 0",
+        "retarget.n_starts = 3",  # two deterministic starts at most
+        "retarget.seed = 5",  # the one seed is the top-level one
         "chunk.horizon = 1",
         "chunk.nav_step = 0",
         "chunk.manip_step = 0",
@@ -228,7 +232,14 @@ class TestPipeline:
             (b / "recording.jsonl").read_bytes()
 
     def test_multi_recording_fanout(self, workdir, monkeypatch, tmp_path):
-        monkeypatch.setenv("EMMA_RETARGET_THREADS", "2")
+        workers = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
         art = workdir / "art"
         assert main(["synth", str(workdir / "spec.json"), "--out", str(art),
                      "--config", str(workdir / "cfg.txt")]) == 0
@@ -242,6 +253,31 @@ class TestPipeline:
         a, _ = read_command_file(outdir / "recording.commands.txt")
         b, _ = read_command_file(outdir / "copy.commands.txt")
         assert [s.cmds for s in a] == [s.cmds for s in b]
+        assert workers == [min(2, os.cpu_count() or 1)]
+
+    @pytest.mark.parametrize("command, suffix", [("segment", ".phases.json"),
+                                                 ("retarget", ".commands.txt")])
+    def test_recordings_with_one_output_name_are_input_error(
+            self, workdir, tmp_path, capsys, command, suffix):
+        art = workdir / "art"
+        assert main(["synth", str(workdir / "spec.json"), "--out", str(art)]) == 0
+        recs = [tmp_path / d / "rec.jsonl" for d in ("a", "b")]
+        for rec in recs:
+            rec.parent.mkdir()
+            rec.write_bytes((art / "recording.jsonl").read_bytes())
+        outdir = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *map(str, recs), "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert str(recs[0]) in err and str(recs[1]) in err
+        assert not (outdir / ("rec" + suffix)).exists()
+
+    @pytest.mark.parametrize("command", ["retarget", "simulate"])
+    def test_seed_flag_only_where_it_changes_an_output(self, tmp_path, command):
+        args = [str(tmp_path / "x")] * (2 if command == "simulate" else 1)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--out", str(tmp_path / "o"), "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_report_missing_artifacts_is_input_error(self, tmp_path):
         assert main(["report", str(tmp_path), "--out",
@@ -331,6 +367,19 @@ class TestArtifactReaders:
         code, err = self.report(workdir, capsys)
         assert code == 2
         assert str(sim) in err and "re-run simulate" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("pos_rmse", float("nan")), ("yaw_rmse", True), ("pos_max", float("inf")),
+        ("cost_discrepancy", "0.0"),
+    ], ids=["nan-pos-rmse", "bool-yaw-rmse", "inf-pos-max", "str-discrepancy"])
+    def test_sim_file_scalar_not_a_finite_number(self, workdir, capsys, key, value):
+        run_pipeline(workdir)
+        sim = workdir / "art" / "sim.json"
+        self.edit_json(sim, lambda obj: obj.__setitem__(key, value))
+        code, err = self.report(workdir, capsys)
+        assert code == 2
+        assert str(sim) in err and repr(key) in err
+        assert not (workdir / "rep2" / "report.txt").exists()
 
     def test_sim_file_malformed_pose(self, workdir, capsys):
         run_pipeline(workdir)
