@@ -60,8 +60,9 @@ def _out_paths(out: Path, recordings, suffix: str) -> list[Path]:
 
 def _for_each(run, recordings, outs) -> None:
     """``run(recording, out)`` for each pair, on up to one thread per core."""
-    workers = min(len(recordings), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)  # the cores this process may use
+    with ThreadPoolExecutor(max_workers=min(len(recordings), cores)) as pool:
         list(pool.map(run, recordings, outs))
 
 
@@ -72,8 +73,7 @@ def cmd_synth(args, cfg) -> int:
         except (InvalidArgumentError, json.JSONDecodeError) as exc:
             raise InvalidArgumentError(f"{args.spec}: {exc}") from None
     if args.seed is not None:
-        spec = simulator.SynthSpec(spec.segments, spec.fps, spec.noise_std,
-                                   args.seed, spec.head_height)
+        spec = replace(spec, seed=args.seed)
     ep, truth = simulator.synthesize(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,7 +135,8 @@ def cmd_report(args, cfg) -> int:
 
     phases = truth = None
     if (art / "phases.json").exists():
-        phases, _, _, _ = segmentation.read_phase_file(art / "phases.json")
+        phases, _, _, seed = segmentation.read_phase_file(art / "phases.json")
+        cfg = replace(cfg, seed=seed)  # echo the seed that made the phases
     if (art / "truth.json").exists():
         truth, _, _, _ = segmentation.read_phase_file(art / "truth.json")
     accuracy = None
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="summary format: report.txt or report.json")
-    common(p, "override the config seed echoed in the summary")
+    common(p)
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -15,9 +15,9 @@ in closed form, and takes it if its free block is positive definite
 whose waypoints ask for more than the bounds allow keep large residuals
 at the optimum, where Gauss-Newton alone converges only linearly.
 ``iterations`` counts solver steps of either kind. A start has
-*converged* once ||z - P(z - g)|| <= grad_tol * (1 + f), with P the clip
-to the bounds, g the gradient and f the cost; every iterate is tested,
-the last one ``max_iters`` allows too. A brute-force grid enumerator
+*converged* once ||z - P(z - g)|| <= grad_tol * (``STOP_FLOOR`` + f), with P
+the clip to the bounds, g the gradient and f the cost; every iterate is
+tested, the last one ``max_iters`` allows too. A brute-force grid enumerator
 with its own batched rollout is an independent oracle for small
 instances.
 """
@@ -37,6 +37,9 @@ from .ingest import WaypointTrack, finite_number
 # a step that cuts the cost by less than this fraction makes the next step
 # try the exact Hessian instead of the Gauss-Newton one
 NEWTON_SWITCH = 0.2
+# the stop test scales grad_tol by the cost plus this floor: 1 let windows costing
+# ~1e-6 stop 1e-9 relative above their optimum; 3e-3 leaves some unconverged
+STOP_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         g = 2.0 * (ro.r @ ro.J)
         pg = z - np.clip(z - g, lo, hi)
         pg_norm = math.sqrt(float(pg @ pg))
-        if pg_norm <= cfg.grad_tol * (1.0 + f):
+        if pg_norm <= cfg.grad_tol * (STOP_FLOOR + f):
             return z, f, iters, True
         if iters == cfg.max_iters:
             return z, f, iters, False
@@ -294,10 +297,7 @@ def solve(prob: RetargetProblem) -> RetargetSolution:
     """
     cfg = prob.config
     K = len(prob.desired)
-    starts = [np.zeros((K, 2))]
-    if cfg.n_starts == 2:
-        starts.append(_fd_inversion_init(prob))
-
+    starts = [np.zeros((K, 2)), _fd_inversion_init(prob)][:cfg.n_starts]
     model = _Window(prob)
     lo, hi = np.tile([[cfg.v_min, cfg.omega_min], [cfg.v_max, cfg.omega_max]], K)
     runs = [_gauss_newton(model, np.clip(z0.ravel(), lo, hi), lo, hi, cfg)
@@ -410,9 +410,6 @@ def write_command_file(path, solutions: Sequence[RetargetSolution],
                 fh.write(f"{i} {c.v!r} {c.omega!r} {dt!r}\n")
 
 
-_COSTS = ("cost_total", "cost_pos", "cost_yaw", "cost_smooth")
-
-
 def _number(raw: str) -> float:
     """``raw`` as a float; a value that is not finite raises ValueError."""
     x = float(raw)
@@ -439,7 +436,8 @@ def read_command_file(path) -> tuple[list[RetargetSolution], float]:
                     fields = dict(kv.split("=") for kv in line[2:].split())
                     if "window" in fields:
                         metas[int(fields["window"])] = (
-                            *(_number(fields[k]) for k in _COSTS),
+                            *(_number(fields[k]) for k in (
+                                "cost_total", "cost_pos", "cost_yaw", "cost_smooth")),
                             int(fields["iterations"]), bool(int(fields["converged"])))
                     else:
                         dt = _number(fields["dt"])

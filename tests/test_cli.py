@@ -253,7 +253,7 @@ class TestPipeline:
         a, _ = read_command_file(outdir / "recording.commands.txt")
         b, _ = read_command_file(outdir / "copy.commands.txt")
         assert [s.cmds for s in a] == [s.cmds for s in b]
-        assert workers == [min(2, os.cpu_count() or 1)]
+        assert workers == [min(2, len(os.sched_getaffinity(0)))]
 
     @pytest.mark.parametrize("command, suffix", [("segment", ".phases.json"),
                                                  ("retarget", ".commands.txt")])
@@ -272,12 +272,24 @@ class TestPipeline:
         assert str(recs[0]) in err and str(recs[1]) in err
         assert not (outdir / ("rec" + suffix)).exists()
 
-    @pytest.mark.parametrize("command", ["retarget", "simulate"])
+    @pytest.mark.parametrize("command", ["retarget", "simulate", "report"])
     def test_seed_flag_only_where_it_changes_an_output(self, tmp_path, command):
         args = [str(tmp_path / "x")] * (2 if command == "simulate" else 1)
         with pytest.raises(SystemExit) as exc:
             main([command, *args, "--out", str(tmp_path / "o"), "--seed", "1"])
         assert exc.value.code == 2
+
+    def test_report_echoes_the_seed_that_made_the_phases(self, workdir):
+        art = run_pipeline(workdir)
+        assert main(["segment", str(art / "recording.jsonl"), "--out",
+                     str(art / "phases.json"), "--config",
+                     str(workdir / "cfg.txt"), "--seed", "9"]) == 0
+        rep = workdir / "rep9"
+        assert main(["report", str(art), "--out", str(rep)]) == 0
+        assert "seed = 9\n" in (rep / "report.txt").read_text()
+        (art / "phases.json").unlink()
+        assert main(["report", str(art), "--out", str(rep)]) == 0
+        assert "seed = 0\n" in (rep / "report.txt").read_text()
 
     def test_report_missing_artifacts_is_input_error(self, tmp_path):
         assert main(["report", str(tmp_path), "--out",

@@ -13,9 +13,10 @@ from egonav.retarget import (RetargetConfig, RetargetProblem, _Window,
                              brute_force, cost, gradient, read_command_file,
                              retarget_track, solve, window_rollout,
                              write_command_file)
-from egonav.simulator import simulate, synthesize
+from egonav.simulator import simulate, spec_from_json, synthesize
 
 from conftest import two_zone_spec
+from test_cli import E2E_SPEC
 
 CFG = RetargetConfig()
 
@@ -218,6 +219,26 @@ class TestSolve:
             zeros_cost, *_ = cost(np.zeros((4, 2)), prob)
             assert sol.cost_total <= zeros_cost + 1e-9
 
+    def test_one_start_is_the_zero_start(self, monkeypatch):
+        starts = []
+        gauss_newton = retarget._gauss_newton
+
+        def recorded(model, z, *args):
+            starts.append(z.copy())
+            return gauss_newton(model, z, *args)
+
+        monkeypatch.setattr(retarget, "_gauss_newton", recorded)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            prob = random_problem(rng, 6)
+            starts.clear()
+            one = solve(dataclasses.replace(
+                prob, config=dataclasses.replace(CFG, n_starts=1)))
+            assert len(starts) == 1 and not starts[0].any()
+            two = solve(prob)
+            assert len(starts) == 3 and not starts[1].any() and starts[2].any()
+            assert two.cost_total <= one.cost_total
+
 
 class TestBruteForce:
     def test_stationary_zero_on_grid(self):
@@ -385,6 +406,28 @@ def test_solve_matches_bounded_least_squares_oracle():
             assert sol.cost_total <= trf * (1 + 1e-9) + 1e-12
             if spacing > CFG.v_max * CFG.dt:
                 assert max(c.v for c in sol.cmds) == CFG.v_max
+
+
+def test_small_cost_windows_stop_at_their_optimum():
+    # the feasible end-to-end walk: its window 6 costs ~1e-6, where a stop
+    # test with a floor of 1 left it 1.6e-9 relative above the oracle; the
+    # 1e-18 slack covers float64 rounding of windows costing ~1e-9
+    opt = pytest.importorskip("scipy.optimize")
+    ep, _ = synthesize(spec_from_json(E2E_SPEC))
+    track = extract_waypoints(ep, d_thresh=0.13)
+    poses, sols = [p for _, p in track.waypoints], retarget_track(track, CFG)
+    for i, sol in enumerate(sols):
+        prob = two_zone_window(poses, sols, i)
+        k = len(sol.cmds)
+        bounds = (np.tile([CFG.v_min, CFG.omega_min], k),
+                  np.tile([CFG.v_max, CFG.omega_max], k))
+        z = np.array([[c.v, c.omega] for c in sol.cmds]).ravel()
+        trf = min(
+            float(np.sum(reference_residuals(opt.least_squares(
+                reference_residuals, z0, bounds=bounds, method="trf",
+                ftol=1e-15, xtol=1e-15, gtol=1e-15, args=(prob,)).x, prob) ** 2))
+            for z0 in (np.zeros(2 * k), z))
+        assert sol.cost_total <= trf * (1 + 1e-10) + 1e-18
 
 
 def test_command_file_round_trip(tmp_path):
