@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import ingest, report, retarget, segmentation, simulator
 from .config import load_config
-from .errors import (ConfigError, EgonavError, InvalidArgumentError,
-                     NoManipulationZonesError, NumericalFailureError)
+from .errors import (EgonavError, InvalidArgumentError, NoManipulationZonesError,
+                     NumericalFailureError)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -105,31 +105,24 @@ def cmd_retarget(args, cfg) -> int:
             solutions = []  # stationary recording: nothing to command
         else:
             solutions = retarget.retarget_track(track, cfg.retarget)
-        retarget.write_command_file(out, solutions, cfg.retarget.dt)
+        retarget.write_command_file(out, solutions, cfg.retarget)
 
     _for_each(run, args.recording, outs)
     return EXIT_OK
 
 
 def cmd_simulate(args, cfg) -> int:
-    solutions, dt = retarget.read_command_file(args.commands)
+    solutions, objective = retarget.read_command_file(args.commands)
     poses = [p for _, p in _waypoint_track(args.recording, cfg).waypoints]
-    result = simulator.simulate(poses[0], solutions, poses[1:], dt,
-                                cfg.retarget)
+    result = simulator.simulate(poses[0], solutions, poses[1:], objective)
     simulator.write_sim_file(args.out, result)
     return EXIT_OK
 
 
 def cmd_report(args, cfg) -> int:
-    art = Path(args.artifacts)
-    cmd_path = art / "commands.txt"
-    sim_path = art / "sim.json"
-    for required in (cmd_path, sim_path):
-        if not required.exists():
-            raise ConfigError(f"missing artifact: {required}")
-
-    solutions, _ = retarget.read_command_file(cmd_path)
-    sim = simulator.read_sim_file(sim_path)
+    art = Path(args.artifacts)  # a missing file is an OSError: exit 2
+    solutions, _ = retarget.read_command_file(art / "commands.txt")
+    sim = simulator.read_sim_file(art / "sim.json")
     desired = [simulator.Pose2(*p) for p in sim["desired"]]
     rollout = [simulator.Pose2(*p) for p in sim["poses"]]
 

@@ -130,10 +130,7 @@ def load_config(path=None) -> PipelineConfig:
 
 def effective_parameters(cfg: PipelineConfig) -> dict[str, object]:
     """Flat dotted-key view of every effective parameter, for report echo."""
-    out: dict[str, object] = {}
-    for section, sub in (("ingest", cfg.ingest), ("phase", cfg.phase),
-                         ("retarget", cfg.retarget), ("chunk", cfg.chunk)):
-        for f in fields(sub):
-            out[f"{section}.{f.name}"] = getattr(sub, f.name)
+    out = {f"{section}.{f.name}": getattr(getattr(cfg, section), f.name)
+           for section, cls in _SECTIONS.items() for f in fields(cls)}
     out["seed"] = cfg.seed
     return out

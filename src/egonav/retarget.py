@@ -40,6 +40,9 @@ NEWTON_SWITCH = 0.2
 # the stop test scales grad_tol by the cost plus this floor: 1 let windows costing
 # ~1e-6 stop 1e-9 relative above their optimum; 3e-3 leaves some unconverged
 STOP_FLOOR = 0.1
+# the RetargetConfig fields a command file records: all that a replay reads
+OBJECTIVE = ("dt", "lambda_pos", "lambda_yaw", "lambda_smooth",
+             "v_min", "v_max", "omega_min", "omega_max")
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class RetargetConfig:
     dt: float = 0.16  # 0.02 s frame period x 8-frame sampling step
     max_iters: int = 500
     grad_tol: float = 1e-6
-    n_starts: int = 2  # 1: zeros only; 2: also the finite-difference inversion
     window: int = 10  # waypoints per optimization window
 
     def __post_init__(self):
@@ -67,11 +69,9 @@ class RetargetConfig:
         for name in ("lambda_pos", "lambda_yaw", "lambda_smooth"):
             if getattr(self, name) < 0:
                 raise InvalidArgumentError(f"{name} must be >= 0")
-        for name, low in (("window", 1), ("max_iters", 0), ("n_starts", 1)):
+        for name, low in (("window", 1), ("max_iters", 0)):
             if getattr(self, name) < low:
                 raise InvalidArgumentError(f"{name} must be >= {low}")
-        if self.n_starts > 2:
-            raise InvalidArgumentError("n_starts must be <= 2")
 
 
 @dataclass(frozen=True)
@@ -288,8 +288,8 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def solve(prob: RetargetProblem) -> RetargetSolution:
     """Minimize the tracking objective over box-bounded commands.
 
-    Runs from zero commands and, with ``n_starts = 2``, also from the
-    finite-difference inversion of the waypoints, which guards the
+    Runs from zero commands and then from the finite-difference
+    inversion of the waypoints, which guards the
     nonconvex shooting objective against a poor local minimum; the
     lower-cost run wins and reports its own iteration count and
     convergence. Both starts are deterministic, so one problem always
@@ -297,11 +297,10 @@ def solve(prob: RetargetProblem) -> RetargetSolution:
     """
     cfg = prob.config
     K = len(prob.desired)
-    starts = [np.zeros((K, 2)), _fd_inversion_init(prob)][:cfg.n_starts]
     model = _Window(prob)
     lo, hi = np.tile([[cfg.v_min, cfg.omega_min], [cfg.v_max, cfg.omega_max]], K)
     runs = [_gauss_newton(model, np.clip(z0.ravel(), lo, hi), lo, hi, cfg)
-            for z0 in starts]
+            for z0 in (np.zeros((K, 2)), _fd_inversion_init(prob))]
     z, _, iters, conv = min(runs, key=lambda run: run[1])  # ties: earliest start
     cmds = tuple(VelocityCommand(v, w) for v, w in z.reshape(-1, 2).tolist())
     return RetargetSolution(cmds, *model(z).costs(), iters, conv)
@@ -371,14 +370,12 @@ def chain_windows(start: Pose2, desired: Sequence[Pose2], sizes: Iterable[int],
         w0 += size
 
 
-def retarget_track(track: WaypointTrack,
-                   cfg: Optional[RetargetConfig] = None) -> list[RetargetSolution]:
+def retarget_track(track: WaypointTrack, cfg: RetargetConfig) -> list[RetargetSolution]:
     """Solve a whole waypoint track in chained windows of ``cfg.window``.
 
     The first waypoint is the start pose; the others are the desired
     sequence, chained by :func:`chain_windows`.
     """
-    cfg = cfg or RetargetConfig()
     poses = [p for _, p in track.waypoints]
     if len(poses) < 2:
         raise InvalidArgumentError("need at least 2 waypoints to retarget")
@@ -390,15 +387,16 @@ def retarget_track(track: WaypointTrack,
 
 
 def write_command_file(path, solutions: Sequence[RetargetSolution],
-                       dt: float) -> None:
-    """Plain-text command table: one (window, v, omega, dt) row per command.
+                       cfg: RetargetConfig) -> None:
+    """Plain-text command table: one (window, v, omega) row per command.
 
-    Window cost breakdowns are recorded in '#!' comment rows so the file
-    round-trips through :func:`read_command_file`.
+    One '#!' header row records the ``OBJECTIVE`` values of ``cfg`` the
+    commands were solved under, and '#! window=' rows each window's cost
+    breakdown, so the file round-trips through :func:`read_command_file`.
     """
     with open(path, "w") as fh:
-        fh.write("# window v omega dt\n")
-        fh.write(f"#! dt={dt!r}\n")
+        objective = " ".join(f"{k}={getattr(cfg, k)!r}" for k in OBJECTIVE)
+        fh.write(f"# window v omega\n#! {objective}\n")
         for i, sol in enumerate(solutions):
             fh.write(
                 f"#! window={i} cost_total={sol.cost_total!r} "
@@ -407,7 +405,7 @@ def write_command_file(path, solutions: Sequence[RetargetSolution],
                 f"converged={int(sol.converged)}\n"
             )
             for c in sol.cmds:
-                fh.write(f"{i} {c.v!r} {c.omega!r} {dt!r}\n")
+                fh.write(f"{i} {c.v!r} {c.omega!r}\n")
 
 
 def _number(raw: str) -> float:
@@ -418,19 +416,22 @@ def _number(raw: str) -> float:
     return x
 
 
-def read_command_file(path) -> tuple[list[RetargetSolution], float]:
-    """Rebuild solutions (commands + reported costs) from a command file.
+def read_command_file(path) -> tuple[list[RetargetSolution], RetargetConfig]:
+    """Rebuild the solutions and the objective they were solved under.
 
-    A malformed row or '#!' token, a command or cost that is not a finite
-    number, or a window without a '#! window=' record raises
-    :class:`InvalidArgumentError`.
+    The objective is a :class:`RetargetConfig` of the header's ``OBJECTIVE``
+    values; its solver fields keep their defaults. A malformed row or '#!'
+    token, a value that is not a finite number, a missing, second or late
+    header, a command outside the header's bounds, or a window without a
+    '#! window=' record raises :class:`InvalidArgumentError`.
     """
     metas: dict[int, tuple] = {}
     cmds: dict[int, list[VelocityCommand]] = {}
-    dt = None
+    cfg = None
+    rerun = "; re-run retarget to write it"
     with open(path) as fh:
         for n, line in enumerate(fh, start=1):
-            line = line.strip()
+            line, where = line.strip(), f"command file {path} line {n}"
             try:
                 if line.startswith("#!"):
                     fields = dict(kv.split("=") for kv in line[2:].split())
@@ -439,23 +440,32 @@ def read_command_file(path) -> tuple[list[RetargetSolution], float]:
                             *(_number(fields[k]) for k in (
                                 "cost_total", "cost_pos", "cost_yaw", "cost_smooth")),
                             int(fields["iterations"]), bool(int(fields["converged"])))
+                    elif cfg is None and fields.keys() == set(OBJECTIVE):
+                        cfg = RetargetConfig(**{k: _number(x) for k, x in fields.items()})
                     else:
-                        dt = _number(fields["dt"])
+                        raise InvalidArgumentError(
+                            f"expected one objective row of {', '.join(OBJECTIVE)}{rerun}")
                 elif line.startswith("#") or not line:
                     continue
+                elif cfg is None:
+                    raise InvalidArgumentError(f"command before the objective row{rerun}")
                 else:
-                    w, v, omega, dt_s = line.split()
-                    cmds.setdefault(int(w), []).append(
-                        VelocityCommand(_number(v), _number(omega)))
-                    dt = _number(dt_s)
+                    w, v, omega = line.split()
+                    c = VelocityCommand(_number(v), _number(omega))
+                    if not (cfg.v_min <= c.v <= cfg.v_max
+                            and cfg.omega_min <= c.omega <= cfg.omega_max):
+                        raise InvalidArgumentError(
+                            f"command ({v}, {omega}) outside the objective's bounds")
+                    cmds.setdefault(int(w), []).append(c)
+            except InvalidArgumentError as exc:
+                raise InvalidArgumentError(f"{where}: {exc}") from None
             except (KeyError, ValueError):
-                raise InvalidArgumentError(
-                    f"command file {path} line {n}: malformed row {line!r}") from None
+                raise InvalidArgumentError(f"{where}: malformed row {line!r}") from None
+    if cfg is None:
+        raise InvalidArgumentError(f"command file {path} has no objective row{rerun}")
     missing = sorted(cmds.keys() - metas.keys())
     if missing:
         raise InvalidArgumentError(
             f"command file {path}: window {missing[0]} has no "
             f"'#! window={missing[0]}' record")
-    if dt is None:
-        raise InvalidArgumentError(f"command file {path} has no dt record")
-    return [RetargetSolution(tuple(cmds[w]), *metas[w]) for w in sorted(cmds)], dt
+    return [RetargetSolution(tuple(cmds[w]), *metas[w]) for w in sorted(cmds)], cfg

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -72,22 +72,20 @@ class SynthSpec:
 
 
 def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
-             desired: Sequence[Pose2], dt: float,
-             cfg: Optional[RetargetConfig] = None) -> SimResult:
+             desired: Sequence[Pose2], cfg: RetargetConfig) -> SimResult:
     """Roll out retargeted commands and score them against the waypoints.
 
     The windows of ``solutions`` are chained as in ``retarget_track`` and
-    rolled out at ``dt``, the command file's, under the weights of ``cfg``;
-    each window's recomputed cost is compared with the solver's. No
-    windows give an empty rollout with zero errors.
+    rolled out under ``cfg``, the objective the command file records: its
+    ``dt`` and weights. Each window's recomputed cost is compared with the
+    solver's. No windows give an empty rollout with zero errors.
     """
     n_cmds = sum(len(sol.cmds) for sol in solutions)
     if n_cmds != len(desired):
         raise InvalidArgumentError(
             f"command count {n_cmds} != waypoint count {len(desired)}")
     chain = chain_windows(start, desired, [len(sol.cmds) for sol in solutions],
-                          replace(cfg or RetargetConfig(), dt=dt),
-                          lambda i, prob: solutions[i])
+                          cfg, lambda i, prob: solutions[i])
 
     poses: list[Pose2] = []
     parts = np.zeros(3)  # pos, yaw, smooth

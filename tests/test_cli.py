@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -55,6 +56,14 @@ def run_pipeline(d, fmt="text"):
     assert main(["report", str(art), "--out", str(d / "rep"),
                  "--config", cfg, "--format", fmt]) == 0
     return art
+
+
+def straight_walk(d):
+    """Synthesize a 2 s straight walk at 1 m/s under ``d``; returns its directory."""
+    (d / "s.json").write_text(json.dumps(
+        {"segments": [{"kind": "straight", "duration": 2.0}], "fps": 30.0}))
+    assert main(["synth", str(d / "s.json"), "--out", str(d / "art")]) == 0
+    return d / "art"
 
 
 class TestExitCodes:
@@ -177,10 +186,41 @@ class TestPipeline:
         rec = str(art / "recording.jsonl")
         assert main(["retarget", rec, "--out", str(art / "commands.txt"),
                      "--config", str(workdir / "dt.txt")]) == 0
-        assert read_command_file(art / "commands.txt")[1] == 0.1
+        assert read_command_file(art / "commands.txt")[1].dt == 0.1
         assert main(["simulate", str(art / "commands.txt"), rec,
                      "--out", str(art / "sim.json")]) == 0
         assert read_sim_file(art / "sim.json")["cost_discrepancy"] == 0.0
+
+    def test_simulate_replays_under_the_command_file_weights(self, tmp_path):
+        # retarget under a non-default weight, simulate with no config: the
+        # replay scores under the weights recorded in the command file
+        art = straight_walk(tmp_path)
+        (tmp_path / "w.txt").write_text("retarget.lambda_smooth = 2\n")
+        rec = str(art / "recording.jsonl")
+        assert main(["retarget", rec, "--out", str(art / "commands.txt"),
+                     "--config", str(tmp_path / "w.txt")]) == 0
+        assert main(["simulate", str(art / "commands.txt"), rec,
+                     "--out", str(art / "sim.json")]) == 0
+        assert read_sim_file(art / "sim.json")["cost_discrepancy"] == 0.0
+
+    @pytest.mark.parametrize("v", ["1e308", "5.0"])
+    def test_command_outside_the_bounds_is_input_error(self, tmp_path, capsys, v):
+        art = straight_walk(tmp_path)
+        rec, cmds = str(art / "recording.jsonl"), art / "commands.txt"
+        assert main(["retarget", rec, "--out", str(cmds)]) == 0
+        rows = cmds.read_text().splitlines()
+        n = next(i for i, row in enumerate(rows) if not row.startswith("#"))
+        window, _, omega = rows[n].split()
+        rows[n] = f"{window} {v} {omega}"
+        cmds.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(cmds), rec,
+                         "--out", str(art / "sim.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cmds} line {n + 1}:" in err and "outside" in err
+        assert not (art / "sim.json").exists()
 
     def test_end_to_end_tracks_waypoints(self, workdir):
         art = run_pipeline(workdir)

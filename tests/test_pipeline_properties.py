@@ -1,6 +1,7 @@
 """Property tests for the window chain, the run finder, the command file
 and the pose algebra (skipped without hypothesis)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,15 +39,35 @@ def chained_tracks(draw):
                                  min_size=n + 1, max_size=n + 1))
 
 
+@st.composite
+def objectives(draw, bounds=finite, lambdas=st.floats(0.0, allow_infinity=False),
+               dts=st.floats(1e-6, 10.0)):
+    """A RetargetConfig with each of the ``OBJECTIVE`` values drawn."""
+    def interval():
+        return sorted(draw(st.lists(bounds, min_size=2, max_size=2, unique=True)))
+    (v_min, v_max), (omega_min, omega_max) = interval(), interval()
+    return RetargetConfig(dt=draw(dts), lambda_pos=draw(lambdas),
+                          lambda_yaw=draw(lambdas), lambda_smooth=draw(lambdas),
+                          v_min=v_min, v_max=v_max,
+                          omega_min=omega_min, omega_max=omega_max)
+
+
 @settings(PROPERTY, max_examples=40)
-@given(chained_tracks(), st.floats(0.05, 0.3))
-def test_simulate_replays_retarget_track_exactly(chained, dt):
+@given(chained_tracks(), objectives(st.floats(-2.0, 2.0), st.floats(0.0, 50.0),
+                                    st.floats(0.05, 0.3)))
+def test_simulate_replays_retarget_track_exactly(tmp_path_factory, chained,
+                                                 objective):
     window, waypoints = chained
     track = WaypointTrack(tuple(enumerate(waypoints)), d_thresh=0.25)
-    sols = retarget_track(track, RetargetConfig(dt=dt, window=window))
+    cfg = dataclasses.replace(objective, window=window)
+    sols = retarget_track(track, cfg)
     assert [len(s.cmds) for s in sols[:-1]] == [window] * (len(sols) - 1)
-    # no config: the replay takes the default weights and the given dt
-    res = simulate(waypoints[0], sols, waypoints[1:], dt)
+    # the replay reads the objective from the command file alone
+    path = tmp_path_factory.mktemp("cmds") / "commands.txt"
+    write_command_file(path, sols, cfg)
+    back, recorded = read_command_file(path)
+    assert recorded == objective
+    res = simulate(waypoints[0], back, waypoints[1:], recorded)
     assert res.cost_discrepancy == 0.0
     assert len(res.poses) == len(waypoints) - 1
 
@@ -89,22 +110,28 @@ def test_candidate_mask_matches_naive_reference(speeds, tau_duration):
     assert got.tolist() == naive_candidate_mask(v_head, v_hand, cfg)
 
 
-solutions = st.builds(
-    RetargetSolution,
-    st.lists(st.builds(VelocityCommand, finite, finite), min_size=1,
-             max_size=4).map(tuple),
-    finite, finite, finite, finite, st.integers(0, 10**6), st.booleans())
+@st.composite
+def command_files(draw):
+    """An objective and up to 4 solutions whose commands lie inside its bounds."""
+    cfg = draw(objectives())
+    cmd = st.builds(VelocityCommand, st.floats(cfg.v_min, cfg.v_max),
+                    st.floats(cfg.omega_min, cfg.omega_max))
+    solution = st.builds(
+        RetargetSolution, st.lists(cmd, min_size=1, max_size=4).map(tuple),
+        finite, finite, finite, finite, st.integers(0, 10**6), st.booleans())
+    return cfg, draw(st.lists(solution, max_size=4))
 
 
 @PROPERTY
-@given(st.lists(solutions, max_size=4), st.floats(1e-6, 10.0))
-def test_command_file_round_trips_bit_exactly(tmp_path_factory, sols, dt):
+@given(command_files())
+def test_command_file_round_trips_bit_exactly(tmp_path_factory, drawn):
+    cfg, sols = drawn
     path = tmp_path_factory.mktemp("cmds") / "commands.txt"
-    write_command_file(path, sols, dt)
-    back, back_dt = read_command_file(path)
-    assert back == sols and back_dt == dt
+    write_command_file(path, sols, cfg)
+    back, back_cfg = read_command_file(path)
+    assert back == sols and back_cfg == cfg
     text = path.read_bytes()
-    write_command_file(path, back, back_dt)
+    write_command_file(path, back, back_cfg)
     assert path.read_bytes() == text  # repr-equal floats are bit-equal, -0.0 too
 
 

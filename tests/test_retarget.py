@@ -9,7 +9,7 @@ from egonav.cli import main
 from egonav.errors import InvalidArgumentError
 from egonav.geometry import Pose2, VelocityCommand, rollout, wrap
 from egonav.ingest import WaypointTrack, extract_waypoints, serialize_recording
-from egonav.retarget import (RetargetConfig, RetargetProblem, _Window,
+from egonav.retarget import (OBJECTIVE, RetargetConfig, RetargetProblem, _Window,
                              brute_force, cost, gradient, read_command_file,
                              retarget_track, solve, window_rollout,
                              write_command_file)
@@ -38,8 +38,7 @@ def two_zone_window(poses, sols, i):
     start, prev = poses[0], VelocityCommand(0.0, 0.0)
     n = sum(len(s.cmds) for s in sols[:i])
     if i:
-        start = simulate(poses[0], sols[:i], poses[1:n + 1], CFG.dt,
-                         CFG).poses[-1]
+        start = simulate(poses[0], sols[:i], poses[1:n + 1], CFG).poses[-1]
         prev = sols[i - 1].cmds[-1]
     desired = poses[n + 1:n + 1 + len(sols[i].cmds)]
     return RetargetProblem(start, tuple(p.normalized() for p in desired), CFG, prev)
@@ -219,7 +218,7 @@ class TestSolve:
             zeros_cost, *_ = cost(np.zeros((4, 2)), prob)
             assert sol.cost_total <= zeros_cost + 1e-9
 
-    def test_one_start_is_the_zero_start(self, monkeypatch):
+    def test_starts_are_zeros_then_the_fd_inversion(self, monkeypatch):
         starts = []
         gauss_newton = retarget._gauss_newton
 
@@ -232,12 +231,8 @@ class TestSolve:
         for _ in range(5):
             prob = random_problem(rng, 6)
             starts.clear()
-            one = solve(dataclasses.replace(
-                prob, config=dataclasses.replace(CFG, n_starts=1)))
-            assert len(starts) == 1 and not starts[0].any()
-            two = solve(prob)
-            assert len(starts) == 3 and not starts[1].any() and starts[2].any()
-            assert two.cost_total <= one.cost_total
+            solve(prob)
+            assert len(starts) == 2 and not starts[0].any() and starts[1].any()
 
 
 class TestBruteForce:
@@ -301,7 +296,7 @@ class TestRetargetTrack:
 
     def test_simulate_replays_the_chain_exactly(self, two_zone_run):
         poses, sols = two_zone_run
-        res = simulate(poses[0], sols, poses[1:], CFG.dt, CFG)
+        res = simulate(poses[0], sols, poses[1:], CFG)
         assert res.cost_discrepancy == 0.0
         # the last window starts where the simulated earlier windows end,
         # which is where retarget_track chained it from
@@ -434,15 +429,17 @@ def test_command_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     sols = [solve(random_problem(rng, 3)) for _ in range(2)]
     path = tmp_path / "commands.txt"
-    write_command_file(path, sols, CFG.dt)
-    back, dt = read_command_file(path)
-    assert dt == CFG.dt
+    write_command_file(path, sols, CFG)
+    back, cfg = read_command_file(path)
+    assert cfg == CFG
     assert [s.cmds for s in back] == [s.cmds for s in sols]
     assert [s.cost_total for s in back] == [s.cost_total for s in sols]
 
 
 class TestCommandFileErrors:
-    ROWS = "#! dt=0.16\n0 0.5 0.1 0.16\n"
+    OBJECTIVE_ROW = ("#! dt=0.16 lambda_pos=32.0 lambda_yaw=2.0 lambda_smooth=1.0 "
+                     "v_min=-1.0 v_max=1.0 omega_min=-3.0 omega_max=3.0\n")
+    ROWS = OBJECTIVE_ROW + "0 0.5 0.1\n"
     RECORD = ("#! window=0 cost_total=0.5 cost_pos=0.25 cost_yaw=0.125 "
               "cost_smooth=0.125 iterations=3 converged=1\n")
 
@@ -458,18 +455,37 @@ class TestCommandFileErrors:
     def test_commands_without_window_record(self, tmp_path):
         self.check(tmp_path, self.ROWS)
 
+    @pytest.mark.parametrize("text, words", [
+        # the one header row a command file had before it recorded the objective
+        ("#! dt=0.16\n", "line 1: expected one objective row"),
+        ("# window v omega\n", "no objective row"),
+        ("0 0.5 0.1\n" + OBJECTIVE_ROW, "line 1: command before the objective row"),
+        (OBJECTIVE_ROW * 2, "line 2: expected one objective row"),
+        (OBJECTIVE_ROW.replace(" omega_max=3.0", ""), "line 1: expected one"),
+        (OBJECTIVE_ROW.replace("v_max=1.0", "v_max=-2.0"), "v_min must be < v_max"),
+        (OBJECTIVE_ROW.replace("dt=0.16", "dt=0.0"), "dt must be positive"),
+        (OBJECTIVE_ROW + "0 1.5 0.1\n", "line 2: command (1.5, 0.1) outside"),
+        (OBJECTIVE_ROW + "0 0.5 -3.5\n", "line 2: command (0.5, -3.5) outside"),
+    ], ids=["dt-only", "none", "command-first", "two", "omega-max-missing", "empty-v-range",
+            "zero-dt", "v-above-v-max", "omega-below-omega-min"])
+    def test_objective_row_fault(self, tmp_path, capsys, text, words):
+        self.check(tmp_path, text)
+        err = capsys.readouterr().err
+        assert str(tmp_path / "commands.txt") in err and words in err
+        if "objective row" in words:  # a file from before the row asks for a re-run
+            assert "re-run retarget" in err
+
     def test_metadata_token_without_equals(self, tmp_path):
         self.check(tmp_path, "#! window=0 cost_total\n" + self.ROWS)
 
     @pytest.mark.parametrize("old, new", [
-        ("0 0.5 0.1 0.16", "0 nan 0.1 0.16"),
-        ("0 0.5 0.1 0.16", "0 0.5 -inf 0.16"),
-        ("0 0.5 0.1 0.16", "0 0.5 0.1 inf"),
-        ("0 0.5 0.1 0.16", "0 True 0.1 0.16"),
+        ("0 0.5 0.1", "0 nan 0.1"),
+        ("0 0.5 0.1", "0 0.5 -inf"),
+        ("0 0.5 0.1", "0 True 0.1"),
         ("#! dt=0.16", "#! dt=nan"),
         ("cost_total=0.5", "cost_total=nan"),
         ("cost_smooth=0.125", "cost_smooth=inf"),
-    ], ids=["nan-v", "inf-omega", "inf-dt", "bool-v", "nan-dt-record",
+    ], ids=["nan-v", "inf-omega", "bool-v", "nan-dt-record",
             "nan-cost-total", "inf-cost-smooth"])
     def test_value_not_a_finite_number(self, tmp_path, capsys, old, new):
         (tmp_path / "commands.txt").write_text(self.RECORD + self.ROWS)
@@ -479,6 +495,13 @@ class TestCommandFileErrors:
         line = next(n for n, row in enumerate(text.splitlines(), 1) if new in row)
         err = capsys.readouterr().err
         assert str(tmp_path / "commands.txt") in err and f"line {line}:" in err
+
+
+def test_command_file_records_every_objective_field():
+    # a new RetargetConfig field must be either written to the command file
+    # or read by the solver alone
+    names = [f.name for f in dataclasses.fields(RetargetConfig)]
+    assert sorted([*OBJECTIVE, "max_iters", "grad_tol", "window"]) == sorted(names)
 
 
 def test_commands_do_not_depend_on_the_seed(tmp_path):

@@ -37,7 +37,7 @@ class TestSimulate:
         cmds = [VelocityCommand(0.5, 0.1)] * 6
         desired = rollout(Pose2(0, 0, 0), cmds, CFG.dt)
         res = simulate(Pose2(0, 0, 0), [solution_for(cmds, desired)],
-                       desired, CFG.dt)
+                       desired, CFG)
         assert res.pos_rmse == pytest.approx(0.0, abs=1e-12)
         assert res.yaw_rmse == pytest.approx(0.0, abs=1e-12)
         assert res.cost_discrepancy == pytest.approx(0.0, abs=1e-12)
@@ -48,7 +48,7 @@ class TestSimulate:
         cmds = [VelocityCommand(0.0, 0.0)] * 3
         desired = [Pose2(0.1, 0, 0), Pose2(0.2, 0, 0), Pose2(0.3, 0, 0)]
         res = simulate(Pose2(0, 0, 0), [solution_for(cmds, desired)],
-                       desired, CFG.dt)
+                       desired, CFG)
         assert res.pos_rmse == 0.21602468994692867
         assert res.pos_max == pytest.approx(0.3)
 
@@ -58,7 +58,7 @@ class TestSimulate:
         good = solution_for(cmds, desired)
         bad = RetargetSolution(good.cmds, good.cost_total + 0.5, good.cost_pos,
                                good.cost_yaw, good.cost_smooth, 0, True)
-        res = simulate(Pose2(0, 0, 0), [bad], desired, CFG.dt)
+        res = simulate(Pose2(0, 0, 0), [bad], desired, CFG)
         assert res.cost_discrepancy == pytest.approx(0.5)
 
     def test_window_chaining(self):
@@ -67,7 +67,7 @@ class TestSimulate:
         first = solution_for(cmds[:4], desired[:4])
         second = solution_for(cmds[4:], desired[4:], start=desired[3],
                               prev=cmds[3])
-        res = simulate(Pose2(0, 0, 0), [first, second], desired, CFG.dt)
+        res = simulate(Pose2(0, 0, 0), [first, second], desired, CFG)
         assert res.pos_rmse == pytest.approx(0.0, abs=1e-12)
         assert len(res.poses) == 8
 
@@ -76,7 +76,7 @@ class TestSimulate:
         with pytest.raises(InvalidArgumentError):
             simulate(Pose2(0, 0, 0),
                      [solution_for(cmds, [Pose2(0, 0, 0)] * 2)],
-                     [Pose2(0, 0, 0)], CFG.dt)
+                     [Pose2(0, 0, 0)], CFG)
 
 
 class TestSynthesize:
@@ -184,7 +184,7 @@ def test_sim_file_round_trip(tmp_path):
     cmds = [VelocityCommand(0.2, -0.1)] * 5
     desired = rollout(Pose2(0, 0, 0), cmds, CFG.dt)
     res = simulate(Pose2(0, 0, 0), [solution_for(cmds, desired)],
-                   desired, CFG.dt)
+                   desired, CFG)
     path = tmp_path / "sim.json"
     write_sim_file(path, res)
     obj = read_sim_file(path)
