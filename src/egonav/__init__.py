@@ -1,11 +1,10 @@
 """egonav: retarget egocentric walking trajectories to differential-drive commands."""
 
 from .geometry import Pose2, Pose3, VelocityCommand, wrap, step, rollout, \
-    compose, to_frame, project_to_ground
-from .ingest import (Episode, FrameRecord, HandSample, WaypointTrack, NormStats,
+    compose, to_frame
+from .ingest import (Episode, FrameRecord, HandSample, WaypointTrack,
                      parse_recording, serialize_recording, filter_confidence,
-                     extract_waypoints, egocentric_history, fit_norm,
-                     normalize, denormalize)
+                     extract_waypoints)
 from .segmentation import (PhaseConfig, GmmModel, PhaseTrack, velocities,
                            candidate_mask, gmm_fit, gmm_pdf, classify, segment,
                            MANIPULATION, NAVIGATION)

@@ -36,7 +36,7 @@ def _load_episode(path, cfg) -> ingest.Episode:
 
 def _waypoint_track(path, cfg) -> ingest.WaypointTrack:
     return ingest.extract_waypoints(_load_episode(path, cfg), cfg.ingest.d_thresh,
-                                    cfg.ingest.k_h, cfg.ingest.forward_axis)
+                                    forward_axis=cfg.ingest.forward_axis)
 
 
 def _out_paths(out: Path, recordings, suffix: str) -> list[Path]:
@@ -121,15 +121,18 @@ def cmd_simulate(args, cfg) -> int:
 
 def cmd_report(args, cfg) -> int:
     art = Path(args.artifacts)  # a missing file is an OSError: exit 2
-    solutions, _ = retarget.read_command_file(art / "commands.txt")
+    solutions, objective = retarget.read_command_file(art / "commands.txt")
+    # echo the objective, phase config and seed the artifacts record
+    cfg = replace(cfg, retarget=replace(cfg.retarget, **{
+        k: getattr(objective, k) for k in retarget.OBJECTIVE}))
     sim = simulator.read_sim_file(art / "sim.json")
     desired = [simulator.Pose2(*p) for p in sim["desired"]]
     rollout = [simulator.Pose2(*p) for p in sim["poses"]]
 
     phases = truth = None
     if (art / "phases.json").exists():
-        phases, _, _, seed = segmentation.read_phase_file(art / "phases.json")
-        cfg = replace(cfg, seed=seed)  # echo the seed that made the phases
+        phases, _, phase_cfg, seed = segmentation.read_phase_file(art / "phases.json")
+        cfg = replace(cfg, phase=phase_cfg, seed=seed)
     if (art / "truth.json").exists():
         truth, _, _, _ = segmentation.read_phase_file(art / "truth.json")
     accuracy = None

@@ -12,6 +12,7 @@ defaults for every stage. Unknown keys are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .chunks import TARGET_LEN
@@ -56,6 +57,10 @@ class PipelineConfig:
     chunk: ChunkConfig = field(default_factory=ChunkConfig)
     seed: int = 0  # the one seed: it seeds segmentation's EM initialization
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+
 
 _SECTIONS = {
     "ingest": IngestConfig,
@@ -66,16 +71,14 @@ _SECTIONS = {
 
 
 def _coerce(raw: str, typ, key: str):
+    """``raw`` as a float, int or str; a float must be finite."""
     try:
-        if typ is float:
-            return float(raw)
-        if typ is int:
-            return int(raw)
-        if typ is str:
-            return raw
+        value = typ(raw)
+        if typ is not float or math.isfinite(value):
+            return value
     except ValueError:
-        raise ConfigError(f"invalid value {raw!r} for key {key!r}") from None
-    raise ConfigError(f"unsupported type for key {key!r}")
+        pass
+    raise ConfigError(f"invalid value {raw!r} for key {key!r}")
 
 
 def parse_config(text: str) -> PipelineConfig:

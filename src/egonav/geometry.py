@@ -148,11 +148,6 @@ def rotate_vector(q: tuple[float, float, float, float],
     )
 
 
-def project_to_ground(head: Pose3, forward_axis: str = "+x") -> Pose2:
-    """Project a 3D head pose onto the ground plane (see :func:`ground_pose`)."""
-    return ground_pose(head.position, head.orientation, forward_axis)
-
-
 def ground_pose(position: Sequence[float], orientation: Sequence[float],
                 forward_axis: str = "+x") -> Pose2:
     """Project a head position and unit quaternion (w, x, y, z) onto the ground.

@@ -1,4 +1,4 @@
-"""Recording parsing, quality filtering, waypoint extraction, normalization.
+"""Recording parsing, quality filtering and waypoint extraction.
 
 The on-disk recording format is line-delimited JSON, one frame per line:
 
@@ -19,13 +19,13 @@ import json
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError, SchemaError
-from .geometry import Pose2, Pose3, ground_pose, to_frame
+from .geometry import Pose2, Pose3, ground_pose
 
 DEFAULT_D_THRESH = 0.25  # meters between consecutive waypoints
 
@@ -75,33 +75,31 @@ class Episode:
     - ``hand_conf``: (n, 2) hand confidences.
 
     Both hand columns hold NaN where a hand is absent. The arrays are
-    read-only. ``Episode(frames, fps, source)`` builds the columns from
+    read-only. ``Episode(frames, fps)`` builds the columns from
     :class:`FrameRecord` s, and :attr:`frames` reads them back as a lazy
     view; the pipeline reads the columns and builds no ``FrameRecord``.
-    Two episodes are equal when their fps, source and frames are.
+    Two episodes are equal when their fps and frames are. ``fps`` is
+    stored and compared only: every stage takes its times from ``t``.
     """
 
     __slots__ = ("t", "head_pos", "head_quat", "hand_pos", "hand_conf",
-                 "fps", "source", "_rows")
+                 "fps", "_rows")
 
-    def __init__(self, frames: Iterable[FrameRecord], fps: float,
-                 source: str = "human"):
+    def __init__(self, frames: Iterable[FrameRecord], fps: float):
         rows = [(f.t, *f.head.position, *f.head.orientation,
                  *_hand_row(f.left_hand), *_hand_row(f.right_hand))
                 for f in frames]
-        self._set(np.array(rows, dtype=float).reshape(-1, _WIDTH), fps, source)
+        self._set(np.array(rows, dtype=float).reshape(-1, _WIDTH), fps)
 
     @classmethod
-    def _of_rows(cls, rows: np.ndarray, fps: float, source: str) -> "Episode":
+    def _of_rows(cls, rows: np.ndarray, fps: float) -> "Episode":
         ep = cls.__new__(cls)
-        ep._set(rows, fps, source)
+        ep._set(rows, fps)
         return ep
 
-    def _set(self, rows: np.ndarray, fps: float, source: str) -> None:
+    def _set(self, rows: np.ndarray, fps: float) -> None:
         if not fps > 0:
             raise InvalidArgumentError(f"fps must be positive, got {fps}")
-        if source not in ("human", "robot"):
-            raise InvalidArgumentError(f"unknown source {source!r}")
         rows.setflags(write=False)
         hands = rows[:, 8:].reshape(-1, 2, 4)
         self._rows = rows
@@ -111,7 +109,6 @@ class Episode:
         self.hand_pos = hands[:, :, :3]
         self.hand_conf = hands[:, :, 3]
         self.fps = fps
-        self.source = source
 
     @property
     def frames(self) -> "FrameView":
@@ -120,12 +117,10 @@ class Episode:
     def __eq__(self, other):
         if not isinstance(other, Episode):
             return NotImplemented
-        return (self.fps == other.fps and self.source == other.source
-                and self.frames == other.frames)
+        return self.fps == other.fps and self.frames == other.frames
 
     def __repr__(self):
-        return (f"Episode(<{len(self.t)} frames>, fps={self.fps!r}, "
-                f"source={self.source!r})")
+        return f"Episode(<{len(self.t)} frames>, fps={self.fps!r})"
 
 
 class FrameView(Sequence):
@@ -172,18 +167,6 @@ class WaypointTrack:
     """Displacement-triggered sparse waypoints of the base trajectory."""
 
     waypoints: tuple[tuple[int, Pose2], ...]  # (frame_index, pose)
-    d_thresh: float
-    k_h: int = 10
-
-
-@dataclass(frozen=True)
-class NormStats:
-    """Per-dimension z-score statistics for one data source."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    source: str
-    clamped: tuple[bool, ...] = field(default_factory=tuple)
 
 
 def _entry(obj: dict, key: str, name: str, line_no: int):
@@ -295,8 +278,7 @@ def _check_quaternions(rows: np.ndarray, line_nos: list[int]) -> None:
                          line_nos[i]) from None
 
 
-def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0,
-                    source: str = "human") -> Episode:
+def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0) -> Episode:
     """Parse a line-delimited recording into an Episode.
 
     Raises ParseError (with line number) on a malformed line: invalid
@@ -350,7 +332,7 @@ def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0,
         raise SchemaError("recording contains no frames")
     rows = np.array(flat, dtype=float).reshape(-1, _WIDTH)
     _check_quaternions(rows, line_nos)
-    return Episode._of_rows(rows, fps, source)
+    return Episode._of_rows(rows, fps)
 
 
 def serialize_recording(ep: Episode, stream: IO[str]) -> None:
@@ -376,7 +358,7 @@ def filter_confidence(ep: Episode) -> Episode:
     if keep.all():
         return ep
     # May be empty if every frame was excluded; callers must handle that.
-    return Episode._of_rows(ep._rows[keep], ep.fps, ep.source)
+    return Episode._of_rows(ep._rows[keep], ep.fps)
 
 
 def extract_waypoints(ep: Episode, d_thresh: float = DEFAULT_D_THRESH,
@@ -386,6 +368,7 @@ def extract_waypoints(ep: Episode, d_thresh: float = DEFAULT_D_THRESH,
     The first frame is always a waypoint; afterwards a frame becomes one
     iff its planar distance from the most recent accepted waypoint is
     >= d_thresh. Yaw comes from ground projection of the head pose.
+    ``k_h`` is read by nothing; the slot stays for positional callers.
     """
     if not len(ep.t):
         raise InvalidArgumentError("episode has no frames")
@@ -399,40 +382,4 @@ def extract_waypoints(ep: Episode, d_thresh: float = DEFAULT_D_THRESH,
     pos, quat = ep.head_pos[picked].tolist(), ep.head_quat[picked].tolist()
     waypoints = tuple(zip(picked, [ground_pose(p, q, forward_axis)
                                    for p, q in zip(pos, quat)]))
-    return WaypointTrack(waypoints, d_thresh=d_thresh, k_h=k_h)
-
-
-def egocentric_history(track: WaypointTrack, current: Pose2,
-                       k_h: Optional[int] = None) -> list[Pose2]:
-    """Last min(k_h, available) waypoints in the frame of ``current``, oldest first."""
-    k = track.k_h if k_h is None else k_h
-    if k < 1:
-        raise InvalidArgumentError(f"k_h must be >= 1, got {k}")
-    tail = track.waypoints[-k:]
-    return [to_frame(current, pose) for _, pose in tail]
-
-
-def fit_norm(values: Sequence[Sequence[float]], source: str = "human") -> NormStats:
-    """Fit per-dimension z-score statistics (population std).
-
-    Zero-variance dimensions get std clamped to 1 and are flagged, so
-    normalization stays invertible on constant channels.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise InvalidArgumentError("cannot fit normalization on empty input")
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    mean = arr.mean(axis=0)
-    std = arr.std(axis=0)
-    clamped = std == 0.0
-    std = np.where(clamped, 1.0, std)
-    return NormStats(mean, std, source, tuple(bool(c) for c in clamped))
-
-
-def normalize(x, stats: NormStats) -> np.ndarray:
-    return (np.asarray(x, dtype=float) - stats.mean) / stats.std
-
-
-def denormalize(x, stats: NormStats) -> np.ndarray:
-    return np.asarray(x, dtype=float) * stats.std + stats.mean
+    return WaypointTrack(waypoints)

@@ -64,8 +64,9 @@ class RetargetConfig:
             raise InvalidArgumentError("v_min must be < v_max")
         if not self.omega_min < self.omega_max:
             raise InvalidArgumentError("omega_min must be < omega_max")
-        if not self.dt > 0:
-            raise InvalidArgumentError("dt must be positive")
+        for name in ("dt", "grad_tol"):
+            if not getattr(self, name) > 0:
+                raise InvalidArgumentError(f"{name} must be positive")
         for name in ("lambda_pos", "lambda_yaw", "lambda_smooth"):
             if getattr(self, name) < 0:
                 raise InvalidArgumentError(f"{name} must be >= 0")

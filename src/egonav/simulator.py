@@ -69,6 +69,8 @@ class SynthSpec:
             raise InvalidArgumentError("spec needs at least one segment")
         if not self.fps > 0:
             raise InvalidArgumentError("fps must be positive")
+        if self.seed < 0:
+            raise InvalidArgumentError("seed must be >= 0")
 
 
 def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
@@ -164,7 +166,7 @@ def synthesize(spec: SynthSpec) -> tuple[Episode, PhaseTrack]:
             head = Pose3((head_xy[0], head_xy[1], spec.head_height),
                          yaw_quaternion(pose.theta))
             frames.append(FrameRecord(t, head, right_hand=hand))
-    ep = Episode(tuple(frames), fps=spec.fps, source="human")
+    ep = Episode(tuple(frames), fps=spec.fps)
     return ep, PhaseTrack(np.asarray(labels, dtype=np.int64))
 
 

@@ -10,7 +10,7 @@ from egonav.chunks import (ActionChunk, blend_yaw, modulate, subsample,
                            upsample)
 from egonav.config import ChunkConfig
 from egonav.errors import InvalidArgumentError
-from egonav.geometry import (Pose2, Pose3, project_to_ground, to_frame, wrap,
+from egonav.geometry import (Pose2, Pose3, ground_pose, to_frame, wrap,
                              yaw_quaternion)
 from egonav.ingest import Episode, FrameRecord
 from egonav.segmentation import MANIPULATION, NAVIGATION, PhaseTrack
@@ -26,13 +26,15 @@ def reference_subsample(ep, t0, horizon, step, phases, forward_axis="+x"):
     """The point-by-point subsample that the sliced one must equal."""
     if t0 + horizon * step >= len(ep.frames):
         raise InvalidArgumentError("chunk exceeds episode length")
-    ref = project_to_ground(ep.frames[t0].head, forward_axis)
+    head = ep.frames[t0].head
+    ref = ground_pose(head.position, head.orientation, forward_axis)
     waypoints = []
     labels = []
     for i in range(1, horizon + 1):
         idx = t0 + i * step
-        waypoints.append(to_frame(ref, project_to_ground(ep.frames[idx].head,
-                                                         forward_axis)))
+        head = ep.frames[idx].head
+        waypoints.append(to_frame(ref, ground_pose(head.position, head.orientation,
+                                                   forward_axis)))
         labels.append(int(phases.labels[idx]))
     return ActionChunk(tuple(waypoints), tuple(labels), horizon, step)
 

@@ -114,6 +114,11 @@ class TestExitCodes:
         "ingest.d_thresh = -1",  # every frame would become a waypoint
         "ingest.d_thresh = 0",
         "ingest.k_h = 0",
+        "seed = -1",
+        "retarget.v_max = inf",  # a command file its own reader refuses
+        "retarget.grad_tol = nan",  # no window would converge
+        "retarget.grad_tol = 0",
+        "phase.tau_head = inf",
     ], ids=lambda line: line.replace(" = ", "="))
     def test_out_of_range_config_value_is_input_error(self, tmp_path, capsys,
                                                       line):
@@ -129,6 +134,17 @@ class TestExitCodes:
                      "--config", str(tmp_path / "cfg.txt")]) == 2
         err = capsys.readouterr().err
         assert line.split(" = ")[0] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec_seed, flag", [(0, ["--seed", "-1"]), (-2, [])],
+                             ids=["flag", "spec"])
+    def test_negative_seed_is_input_error(self, tmp_path, capsys, spec_seed, flag):
+        spec = {"segments": [{"kind": "straight", "duration": 1.0}],
+                "seed": spec_seed}
+        (tmp_path / "s.json").write_text(json.dumps(spec))
+        assert main(["synth", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path / "art"), *flag]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
 
     def test_no_hands_is_exit_3(self, tmp_path):
         spec = {"segments": [{"kind": "straight", "duration": 5.0}],
@@ -330,6 +346,20 @@ class TestPipeline:
         (art / "phases.json").unlink()
         assert main(["report", str(art), "--out", str(rep)]) == 0
         assert "seed = 0\n" in (rep / "report.txt").read_text()
+
+    def test_report_echoes_the_objective_and_phase_config_it_reports_on(
+            self, workdir):
+        (workdir / "cfg.txt").write_text(
+            E2E_CFG + "retarget.lambda_smooth = 2\nphase.tau_pdf = 0.01\n")
+        art = run_pipeline(workdir)
+        assert main(["report", str(art), "--out", str(workdir / "rep0"),
+                     "--format", "json"]) == 0
+        params = json.loads((workdir / "rep0" / "report.json").read_text())[
+            "parameters"]
+        assert params["retarget.lambda_smooth"] == 2.0
+        assert params["phase.tau_pdf"] == 0.01
+        # no artifact records the waypoint trigger: it comes from --config
+        assert params["ingest.d_thresh"] == 0.25
 
     def test_report_missing_artifacts_is_input_error(self, tmp_path):
         assert main(["report", str(tmp_path), "--out",

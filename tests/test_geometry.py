@@ -6,7 +6,7 @@ import pytest
 
 from egonav.errors import DegenerateOrientationError, InvalidArgumentError
 from egonav.geometry import (Pose2, Pose3, VelocityCommand, compose,
-                             project_to_ground, rollout, step, to_frame, wrap,
+                             ground_pose, rollout, step, to_frame, wrap,
                              yaw_quaternion)
 
 
@@ -158,12 +158,12 @@ class TestFrames:
 
 class TestGroundProjection:
     def test_identity_orientation(self):
-        p = project_to_ground(Pose3((1, 2, 1.7), (1, 0, 0, 0)))
+        p = ground_pose((1, 2, 1.7), (1, 0, 0, 0))
         assert (p.x, p.y, p.theta) == (1, 2, 0.0)
 
     def test_yaw_rotation(self):
         q = yaw_quaternion(math.pi / 2)
-        p = project_to_ground(Pose3((0, 0, 0), q))
+        p = ground_pose((0, 0, 0), q)
         assert p.theta == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_forward_axis_down_degenerate(self):
@@ -171,15 +171,15 @@ class TestGroundProjection:
         h = 0.5 * (-math.pi / 2)
         q = (math.cos(h), 0.0, math.sin(h), 0.0)
         with pytest.raises(DegenerateOrientationError):
-            project_to_ground(Pose3((0, 0, 0), q))
+            ground_pose((0, 0, 0), q)
 
     def test_configurable_axis(self):
-        p = project_to_ground(Pose3((0, 0, 0), (1, 0, 0, 0)), forward_axis="+y")
+        p = ground_pose((0, 0, 0), (1, 0, 0, 0), forward_axis="+y")
         assert p.theta == pytest.approx(math.pi / 2)
 
     def test_unknown_axis(self):
         with pytest.raises(InvalidArgumentError):
-            project_to_ground(Pose3((0, 0, 0), (1, 0, 0, 0)), forward_axis="up")
+            ground_pose((0, 0, 0), (1, 0, 0, 0), forward_axis="up")
 
 
 def test_quaternion_norm_enforced():

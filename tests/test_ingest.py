@@ -5,12 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from egonav.errors import InvalidArgumentError, ParseError, SchemaError
-from egonav.geometry import Pose2, Pose3, yaw_quaternion
-from egonav.ingest import (Episode, FrameRecord, HandSample, denormalize,
-                           egocentric_history, extract_waypoints,
-                           filter_confidence, fit_norm, normalize,
-                           parse_recording, serialize_recording)
+from egonav.errors import ParseError, SchemaError
+from egonav.geometry import Pose3, yaw_quaternion
+from egonav.ingest import (Episode, FrameRecord, HandSample, extract_waypoints,
+                           filter_confidence, parse_recording,
+                           serialize_recording)
 
 
 def frame(t, x=0.0, y=0.0, theta=0.0, lh=None, rh=None):
@@ -234,60 +233,3 @@ class TestWaypoints:
         for a, b in zip(pts, pts[1:]):
             assert math.hypot(b[0] - a[0], b[1] - a[1]) >= 0.25
 
-
-class TestEgocentricHistory:
-    def track(self):
-        frames = [frame(0.1 * i, x=0.3 * i) for i in range(6)]
-        return extract_waypoints(episode(frames), d_thresh=0.25)
-
-    def test_self_frame_last(self):
-        track = self.track()
-        _, last = track.waypoints[-1]
-        hist = egocentric_history(track, last)
-        assert (hist[-1].x, hist[-1].y, hist[-1].theta) == (0.0, 0.0, 0.0)
-
-    def test_truncation(self):
-        hist = egocentric_history(self.track(), Pose2(0, 0, 0), k_h=2)
-        assert len(hist) == 2
-
-    def test_matches_to_frame(self):
-        frames = [frame(0.0, x=1.0, y=1.0, theta=math.pi / 2)]
-        track = extract_waypoints(episode(frames), d_thresh=0.25)
-        hist = egocentric_history(track, Pose2(1, 0, math.pi / 2))
-        assert hist[0].x == pytest.approx(1.0)
-        assert hist[0].y == pytest.approx(0.0, abs=1e-15)
-
-    def test_bad_k(self):
-        with pytest.raises(InvalidArgumentError):
-            egocentric_history(self.track(), Pose2(0, 0, 0), k_h=0)
-
-
-class TestNormalization:
-    def test_hand_statistics(self):
-        stats = fit_norm([[1.0], [3.0]])
-        assert stats.mean[0] == 2.0
-        assert stats.std[0] == 1.0
-        assert normalize([3.0], stats)[0] == 1.0
-
-    def test_mean_centers(self):
-        stats = fit_norm([[1.0, 5.0], [2.0, 9.0], [3.0, 1.0]])
-        assert normalize(stats.mean, stats) == pytest.approx([0.0, 0.0])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        vals = rng.normal(3.0, 2.0, (40, 4))
-        stats = fit_norm(vals)
-        x = rng.normal(0, 5, 4)
-        assert denormalize(normalize(x, stats), stats) == pytest.approx(
-            x, abs=1e-12)
-
-    def test_zero_variance_clamped(self):
-        stats = fit_norm([[1.0, 2.0], [1.0, 4.0]])
-        assert stats.std[0] == 1.0
-        assert stats.clamped == (True, False)
-        x = [1.0, 3.0]
-        assert denormalize(normalize(x, stats), stats) == pytest.approx(x)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            fit_norm([])

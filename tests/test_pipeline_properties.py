@@ -1,5 +1,5 @@
-"""Property tests for the window chain, the run finder, the command file
-and the pose algebra (skipped without hypothesis)."""
+"""Property tests for the window chain, the run finder, the command file,
+the pose algebra and the config parser (skipped without hypothesis)."""
 
 import dataclasses
 import math
@@ -10,6 +10,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from egonav.config import PipelineConfig, effective_parameters, parse_config
+from egonav.errors import ConfigError
 from egonav.geometry import Pose2, VelocityCommand, compose, to_frame, wrap
 from egonav.ingest import WaypointTrack
 from egonav.retarget import (RetargetConfig, RetargetSolution, read_command_file,
@@ -58,7 +60,7 @@ def objectives(draw, bounds=finite, lambdas=st.floats(0.0, allow_infinity=False)
 def test_simulate_replays_retarget_track_exactly(tmp_path_factory, chained,
                                                  objective):
     window, waypoints = chained
-    track = WaypointTrack(tuple(enumerate(waypoints)), d_thresh=0.25)
+    track = WaypointTrack(tuple(enumerate(waypoints)))
     cfg = dataclasses.replace(objective, window=window)
     sols = retarget_track(track, cfg)
     assert [len(s.cmds) for s in sols[:-1]] == [window] * (len(sols) - 1)
@@ -149,3 +151,15 @@ def test_compose_inverts_to_frame_up_to_rounding(ref, t):
     back = compose(ref, to_frame(ref, t))
     assert abs(back.x - t.x) <= 1e-12 and abs(back.y - t.y) <= 1e-12
     assert abs(wrap(back.theta - t.theta)) <= 1e-12
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(effective_parameters(PipelineConfig()))),
+       st.text() | st.integers().map(str) | st.floats().map(repr))
+def test_config_value_is_accepted_or_a_config_error(key, token):
+    try:
+        cfg = parse_config(f"{key} = {token}\n")
+    except ConfigError:
+        return
+    values = effective_parameters(cfg).values()
+    assert all(math.isfinite(v) for v in values if isinstance(v, float))

@@ -268,7 +268,7 @@ class TestBruteForce:
 class TestRetargetTrack:
     def straight_track(self, n, spacing=0.16):
         wps = tuple((i, Pose2(spacing * i, 0.0, 0.0)) for i in range(n))
-        return WaypointTrack(wps, d_thresh=spacing)
+        return WaypointTrack(wps)
 
     def test_window_chaining(self):
         track = self.straight_track(21)
