@@ -1,10 +1,9 @@
 """egonav: retarget egocentric walking trajectories to differential-drive commands."""
 
-from .geometry import Pose2, Pose3, VelocityCommand, wrap, step, rollout, \
+from .geometry import Pose2, VelocityCommand, wrap, step, rollout, \
     compose, to_frame
-from .ingest import (Episode, FrameRecord, HandSample, WaypointTrack,
-                     parse_recording, serialize_recording, filter_confidence,
-                     extract_waypoints)
+from .ingest import (Episode, WaypointTrack, parse_recording,
+                     serialize_recording, filter_confidence, extract_waypoints)
 from .segmentation import (PhaseConfig, GmmModel, PhaseTrack, velocities,
                            candidate_mask, gmm_fit, gmm_pdf, classify, segment,
                            MANIPULATION, NAVIGATION)

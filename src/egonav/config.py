@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 
 from .chunks import TARGET_LEN
 from .errors import ConfigError, InvalidArgumentError
+from .geometry import FORWARD_AXES
 from .retarget import RetargetConfig
 from .segmentation import PhaseConfig
 
@@ -33,6 +34,11 @@ class IngestConfig:
             raise InvalidArgumentError("d_thresh must be > 0")
         if self.k_h < 1:
             raise InvalidArgumentError("k_h must be >= 1")
+        if self.forward_axis not in FORWARD_AXES:
+            raise InvalidArgumentError(
+                f"forward_axis must be one of {', '.join(FORWARD_AXES)}")
+        if not self.fps > 0:
+            raise InvalidArgumentError("fps must be > 0")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .errors import DegenerateOrientationError, InvalidArgumentError
 TWO_PI = 2.0 * math.pi
 
 # Forward-axis selectors for ground projection of a 3D head pose.
-_AXES = {
+FORWARD_AXES = {
     "+x": (1.0, 0.0, 0.0),
     "-x": (-1.0, 0.0, 0.0),
     "+y": (0.0, 1.0, 0.0),
@@ -59,20 +59,6 @@ class Pose2(NamedTuple):
 
     def normalized(self) -> "Pose2":
         return Pose2(self.x, self.y, wrap(self.theta))
-
-
-@dataclass(frozen=True)
-class Pose3:
-    """A 3D pose: position (x, y, z) and a unit quaternion (w, x, y, z)."""
-
-    position: tuple[float, float, float]
-    orientation: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        w, x, y, z = self.orientation
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        if abs(n - 1.0) > 1e-9:
-            raise InvalidArgumentError(f"quaternion norm {n} != 1")
 
 
 @dataclass(frozen=True)
@@ -157,7 +143,7 @@ def ground_pose(position: Sequence[float], orientation: Sequence[float],
     "forward" depends on the sensor mounting, so it is configurable.
     """
     try:
-        axis = _AXES[forward_axis]
+        axis = FORWARD_AXES[forward_axis]
     except KeyError:
         raise InvalidArgumentError(f"unknown forward axis {forward_axis!r}") from None
     fx, fy, fz = rotate_vector(orientation, axis)

@@ -9,44 +9,24 @@ The on-disk recording format is line-delimited JSON, one frame per line:
 tracking confidence. Serialization uses shortest round-trip float repr,
 so serialize -> parse reproduces an episode bit-exactly.
 
-An :class:`Episode` holds a recording as numpy columns; the parser fills
-them straight from the decoded lines, and every later stage reads them.
+An :class:`Episode` holds a recording as one array of numbers, a row per
+frame; the parser fills it straight from the decoded lines, and every
+later stage reads its columns.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError, SchemaError
-from .geometry import Pose2, Pose3, ground_pose
+from .geometry import Pose2, ground_pose
 
 DEFAULT_D_THRESH = 0.25  # meters between consecutive waypoints
-
-
-@dataclass(frozen=True)
-class HandSample:
-    position: tuple[float, float, float]
-    confidence: float
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    """One timestamped sample of head pose and optional hand positions."""
-
-    t: float
-    head: Pose3
-    left_hand: Optional[HandSample] = None
-    right_hand: Optional[HandSample] = None
-
-    def hands(self):
-        return [h for h in (self.left_hand, self.right_hand) if h is not None]
 
 
 # One frame as a row of numbers: t, head position (3), head quaternion
@@ -55,18 +35,11 @@ _WIDTH = 16
 _NO_HAND = (math.nan,) * 4
 
 
-def _hand_row(h: Optional[HandSample]) -> tuple:
-    return _NO_HAND if h is None else (*h.position, h.confidence)
-
-
-def _frame_record(t, p, q, hand_p, hand_c) -> FrameRecord:
-    hands = [None if math.isnan(c) else HandSample(tuple(hp), c)
-             for hp, c in zip(hand_p, hand_c)]
-    return FrameRecord(t, Pose3(tuple(p), tuple(q)), *hands)
-
-
 class Episode:
-    """A recording held as columns, one row per frame.
+    """A recording held as an (n, 16) array of rows in the layout above.
+
+    :attr:`frames` holds the array read-only: a float64 array is made
+    read-only and kept, not copied. The columns are views of it:
 
     - ``t``: (n,) timestamps;
     - ``head_pos``: (n, 3) head positions;
@@ -74,92 +47,36 @@ class Episode:
     - ``hand_pos``: (n, 2, 3) left and right hand positions;
     - ``hand_conf``: (n, 2) hand confidences.
 
-    Both hand columns hold NaN where a hand is absent. The arrays are
-    read-only. ``Episode(frames, fps)`` builds the columns from
-    :class:`FrameRecord` s, and :attr:`frames` reads them back as a lazy
-    view; the pipeline reads the columns and builds no ``FrameRecord``.
-    Two episodes are equal when their fps and frames are. ``fps`` is
+    Both hand columns hold NaN where a hand is absent. Two episodes are
+    equal when their fps and frames are, NaN equal to NaN. ``fps`` is
     stored and compared only: every stage takes its times from ``t``.
     """
 
-    __slots__ = ("t", "head_pos", "head_quat", "hand_pos", "hand_conf",
-                 "fps", "_rows")
+    __slots__ = ("frames", "t", "head_pos", "head_quat", "hand_pos",
+                 "hand_conf", "fps")
 
-    def __init__(self, frames: Iterable[FrameRecord], fps: float):
-        rows = [(f.t, *f.head.position, *f.head.orientation,
-                 *_hand_row(f.left_hand), *_hand_row(f.right_hand))
-                for f in frames]
-        self._set(np.array(rows, dtype=float).reshape(-1, _WIDTH), fps)
-
-    @classmethod
-    def _of_rows(cls, rows: np.ndarray, fps: float) -> "Episode":
-        ep = cls.__new__(cls)
-        ep._set(rows, fps)
-        return ep
-
-    def _set(self, rows: np.ndarray, fps: float) -> None:
+    def __init__(self, frames: np.ndarray, fps: float):
+        frames = np.asarray(frames, dtype=float)
+        if frames.shape[1:] != (_WIDTH,):
+            raise InvalidArgumentError(
+                f"frames must be an (n, {_WIDTH}) array, got shape {frames.shape}")
         if not fps > 0:
             raise InvalidArgumentError(f"fps must be positive, got {fps}")
-        rows.setflags(write=False)
-        hands = rows[:, 8:].reshape(-1, 2, 4)
-        self._rows = rows
-        self.t = rows[:, 0]
-        self.head_pos = rows[:, 1:4]
-        self.head_quat = rows[:, 4:8]
+        frames.setflags(write=False)
+        hands = frames[:, 8:].reshape(-1, 2, 4)
+        self.frames = frames
+        self.t = frames[:, 0]
+        self.head_pos = frames[:, 1:4]
+        self.head_quat = frames[:, 4:8]
         self.hand_pos = hands[:, :, :3]
         self.hand_conf = hands[:, :, 3]
         self.fps = fps
 
-    @property
-    def frames(self) -> "FrameView":
-        return FrameView(self)
-
     def __eq__(self, other):
         if not isinstance(other, Episode):
             return NotImplemented
-        return self.fps == other.fps and self.frames == other.frames
-
-    def __repr__(self):
-        return f"Episode(<{len(self.t)} frames>, fps={self.fps!r})"
-
-
-class FrameView(Sequence):
-    """An episode's frames as a read-only sequence of :class:`FrameRecord`.
-
-    ``len`` is O(1); each item is built when it is read. The view equals
-    any sequence of equal frames (a tuple, a list or another view).
-    """
-
-    __slots__ = ("_ep",)
-
-    def __init__(self, ep: Episode):
-        self._ep = ep
-
-    def __len__(self):
-        return len(self._ep.t)
-
-    def __getitem__(self, index):
-        ep = self._ep
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        i = range(len(self))[index]
-        return _frame_record(float(ep.t[i]), ep.head_pos[i].tolist(),
-                             ep.head_quat[i].tolist(), ep.hand_pos[i].tolist(),
-                             ep.hand_conf[i].tolist())
-
-    def __iter__(self):
-        ep = self._ep
-        return map(_frame_record, ep.t.tolist(), ep.head_pos.tolist(),
-                   ep.head_quat.tolist(), ep.hand_pos.tolist(),
-                   ep.hand_conf.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self):
-        return f"FrameView({tuple(self)!r})"
+        return self.fps == other.fps and np.array_equal(
+            self.frames, other.frames, equal_nan=True)
 
 
 @dataclass(frozen=True)
@@ -265,8 +182,7 @@ def _decode(line: str, line_no: int):
 def _check_quaternions(rows: np.ndarray, line_nos: list[int]) -> None:
     """Raise the ParseError of the first row whose quaternion is not unit norm.
 
-    The norm is summed in the order ``Pose3`` sums it, so the same
-    quaternions pass and each message quotes the same norm.
+    The norm is summed as ``w*w + x*x + y*y + z*z``.
     """
     w, x, y, z = rows[:, 4:8].T
     with np.errstate(over="ignore"):  # a norm that overflows is inf, and fails
@@ -288,7 +204,7 @@ def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0) -> Episo
     faulty line wins.
 
     Each line's numbers go onto one flat list, which becomes the
-    episode's columns at the end; the quaternion norms are checked there,
+    episode's rows at the end; the quaternion norms are checked there,
     over all rows at once, and also before any later line's error is
     raised, so that an earlier faulty quaternion still wins.
     """
@@ -332,7 +248,7 @@ def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0) -> Episo
         raise SchemaError("recording contains no frames")
     rows = np.array(flat, dtype=float).reshape(-1, _WIDTH)
     _check_quaternions(rows, line_nos)
-    return Episode._of_rows(rows, fps)
+    return Episode(rows, fps)
 
 
 def serialize_recording(ep: Episode, stream: IO[str]) -> None:
@@ -358,7 +274,7 @@ def filter_confidence(ep: Episode) -> Episode:
     if keep.all():
         return ep
     # May be empty if every frame was excluded; callers must handle that.
-    return Episode._of_rows(ep._rows[keep], ep.fps)
+    return Episode(ep.frames[keep], ep.fps)
 
 
 def extract_waypoints(ep: Episode, d_thresh: float = DEFAULT_D_THRESH,

@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import Pose2, wrap, yaw_quaternion, Pose3
-from .ingest import Episode, FrameRecord, HandSample, finite_number
+from .geometry import Pose2, wrap, yaw_quaternion
+from .ingest import Episode, finite_number
 from .retarget import RetargetConfig, RetargetSolution, chain_windows
 from .segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 
@@ -122,11 +122,14 @@ def synthesize(spec: SynthSpec) -> tuple[Episode, PhaseTrack]:
     distinct from the Euler model the optimizer uses). Pause segments
     jitter the head with i.i.d. Gaussian noise while the right hand
     sweeps a circle at 2 Hz, which keeps the hand speed away from zero
-    so the velocity-ratio gate stays closed.
+    so the velocity-ratio gate stays closed. Each frame is one row of the
+    episode's array; the left hand is always absent, and the right hand
+    is present only in pauses.
     """
     rng = np.random.default_rng(spec.seed)
     dt = 1.0 / spec.fps
-    frames: list[FrameRecord] = []
+    no_hand = (math.nan,) * 4
+    rows: list[tuple] = []
     labels: list[int] = []
     pose = Pose2(0.0, 0.0, 0.0)
     t = 0.0
@@ -138,7 +141,7 @@ def synthesize(spec: SynthSpec) -> tuple[Episode, PhaseTrack]:
                              pose.y + seg.speed * math.sin(pose.theta) * dt,
                              pose.theta)
                 head_xy = (pose.x, pose.y)
-                hand = None
+                hand = no_hand
                 labels.append(NAVIGATION)
             elif seg.kind == "arc":
                 r = seg.speed / seg.turn_rate
@@ -147,7 +150,7 @@ def synthesize(spec: SynthSpec) -> tuple[Episode, PhaseTrack]:
                              pose.y - r * (math.cos(th_new) - math.cos(pose.theta)),
                              wrap(th_new))
                 head_xy = (pose.x, pose.y)
-                hand = None
+                hand = no_hand
                 labels.append(NAVIGATION)
             else:  # pause-and-manipulate
                 jitter = rng.normal(0.0, spec.noise_std, 2) if spec.noise_std > 0 \
@@ -159,14 +162,12 @@ def synthesize(spec: SynthSpec) -> tuple[Episode, PhaseTrack]:
                 # circular sweep (constant speed 2*pi*f*a) in front of the head
                 local_x = HAND_OFFSET + a * math.cos(phase_angle)
                 local_z = spec.head_height - 0.4 + a * math.sin(phase_angle)
-                hand = HandSample(
-                    (pose.x + c * local_x, pose.y + s * local_x, local_z), 1.0)
+                hand = (pose.x + c * local_x, pose.y + s * local_x, local_z, 1.0)
                 labels.append(MANIPULATION)
             t += dt
-            head = Pose3((head_xy[0], head_xy[1], spec.head_height),
-                         yaw_quaternion(pose.theta))
-            frames.append(FrameRecord(t, head, right_hand=hand))
-    ep = Episode(tuple(frames), fps=spec.fps)
+            rows.append((t, head_xy[0], head_xy[1], spec.head_height,
+                         *yaw_quaternion(pose.theta), *no_hand, *hand))
+    ep = Episode(np.array(rows, dtype=float), fps=spec.fps)
     return ep, PhaseTrack(np.asarray(labels, dtype=np.int64))
 
 

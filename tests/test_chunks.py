@@ -10,11 +10,11 @@ from egonav.chunks import (ActionChunk, blend_yaw, modulate, subsample,
                            upsample)
 from egonav.config import ChunkConfig
 from egonav.errors import InvalidArgumentError
-from egonav.geometry import (Pose2, Pose3, ground_pose, to_frame, wrap,
-                             yaw_quaternion)
-from egonav.ingest import Episode, FrameRecord
+from egonav.geometry import Pose2, ground_pose, to_frame, wrap, yaw_quaternion
 from egonav.segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 from egonav.simulator import SynthSegment, SynthSpec, synthesize
+
+from conftest import episode_of, frame_row
 
 try:
     from hypothesis import example, given, settings, strategies as st
@@ -26,14 +26,14 @@ def reference_subsample(ep, t0, horizon, step, phases, forward_axis="+x"):
     """The point-by-point subsample that the sliced one must equal."""
     if t0 + horizon * step >= len(ep.frames):
         raise InvalidArgumentError("chunk exceeds episode length")
-    head = ep.frames[t0].head
-    ref = ground_pose(head.position, head.orientation, forward_axis)
+    ref = ground_pose(ep.head_pos[t0].tolist(), ep.head_quat[t0].tolist(),
+                      forward_axis)
     waypoints = []
     labels = []
     for i in range(1, horizon + 1):
         idx = t0 + i * step
-        head = ep.frames[idx].head
-        waypoints.append(to_frame(ref, ground_pose(head.position, head.orientation,
+        waypoints.append(to_frame(ref, ground_pose(ep.head_pos[idx].tolist(),
+                                                   ep.head_quat[idx].tolist(),
                                                    forward_axis)))
         labels.append(int(phases.labels[idx]))
     return ActionChunk(tuple(waypoints), tuple(labels), horizon, step)
@@ -66,11 +66,8 @@ def bits(chunk):
 
 
 def walk_episode(n=100, dx=0.02, fps=30.0):
-    frames = [
-        FrameRecord(i / fps, Pose3((dx * i, 0.0, 1.6), yaw_quaternion(0.0)))
-        for i in range(n)
-    ]
-    return Episode(tuple(frames), fps=fps)
+    return episode_of([frame_row(i / fps, (dx * i, 0.0, 1.6), yaw_quaternion(0.0))
+                       for i in range(n)], fps)
 
 
 def nav_track(n=100):
@@ -304,12 +301,11 @@ if st is not None:
     def test_subsample_bit_identical_to_reference(t0, horizon, step, seed):
         rng = np.random.default_rng(seed)
         n = t0 + horizon * step + 1 + int(rng.integers(0, 3))
-        frames = tuple(
-            FrameRecord(k / 30.0, Pose3(tuple(rng.uniform(-5, 5, 3)),
-                                        yaw_quaternion(rng.uniform(-3, 3))))
-            for k in range(n))
+        rows = [frame_row(k / 30.0, rng.uniform(-5, 5, 3),
+                          yaw_quaternion(rng.uniform(-3, 3)))
+                for k in range(n)]
         track = PhaseTrack(rng.integers(0, 2, n).astype(np.int64))
-        ep = Episode(frames, fps=30.0)
+        ep = episode_of(rows)
         fast = subsample(ep, t0, horizon, step, track)
         ref = reference_subsample(ep, t0, horizon, step, track)
         assert bits(fast) == bits(ref)

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import warnings
@@ -7,13 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from egonav import chunks, cli, ingest, report, segmentation
+from egonav import cli, report
 from egonav.cli import main
 from egonav.config import load_config
 from egonav.geometry import Pose2
 from egonav.ingest import extract_waypoints, parse_recording
 from egonav.retarget import read_command_file
-from egonav.simulator import read_sim_file, spec_from_json, synthesize
+from egonav.simulator import read_sim_file
 
 E2E_SPEC = {
     "segments": [
@@ -114,6 +113,8 @@ class TestExitCodes:
         "ingest.d_thresh = -1",  # every frame would become a waypoint
         "ingest.d_thresh = 0",
         "ingest.k_h = 0",
+        "ingest.forward_axis = up",  # ground_pose accepts no such axis
+        "ingest.fps = 0",
         "seed = -1",
         "retarget.v_max = inf",  # a command file its own reader refuses
         "retarget.grad_tol = nan",  # no window would converge
@@ -134,6 +135,21 @@ class TestExitCodes:
                      "--config", str(tmp_path / "cfg.txt")]) == 2
         err = capsys.readouterr().err
         assert line.split(" = ")[0] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["ingest.forward_axis = up", "ingest.fps = 0"],
+                             ids=["forward_axis", "fps"])
+    def test_bad_ingest_value_fails_synth_and_segment(self, workdir, capsys, line):
+        art = workdir / "art"
+        assert main(["synth", str(workdir / "spec.json"), "--out", str(art)]) == 0
+        (workdir / "bad.txt").write_text(line + "\n")
+        cfg = ["--config", str(workdir / "bad.txt")]
+        capsys.readouterr()
+        assert main(["synth", str(workdir / "spec.json"),
+                     "--out", str(workdir / "art2"), *cfg]) == 2
+        assert main(["segment", str(art / "recording.jsonl"),
+                     "--out", str(workdir / "p.json"), *cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count(line.split(" = ")[0]) == 2 and "Traceback" not in err
 
     @pytest.mark.parametrize("spec_seed, flag", [(0, ["--seed", "-1"]), (-2, [])],
                              ids=["flag", "spec"])
@@ -364,47 +380,6 @@ class TestPipeline:
     def test_report_missing_artifacts_is_input_error(self, tmp_path):
         assert main(["report", str(tmp_path), "--out",
                      str(tmp_path / "rep")]) == 2
-
-
-class TestColumnsOnly:
-    """No pipeline path builds a per-frame FrameRecord."""
-
-    @pytest.fixture
-    def no_frame_records(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a FrameRecord was built")
-        return lambda: monkeypatch.setattr(ingest, "FrameRecord", refuse)
-
-    def test_segment_retarget_simulate(self, workdir, no_frame_records):
-        cfg = str(workdir / "cfg.txt")
-        art = workdir / "art"
-        assert main(["synth", str(workdir / "spec.json"), "--out", str(art),
-                     "--config", cfg]) == 0
-        rec = str(art / "recording.jsonl")
-        no_frame_records()
-        assert main(["segment", rec, "--out", str(art / "phases.json"),
-                     "--config", cfg]) == 0
-        assert main(["retarget", rec, "--out", str(art / "commands.txt"),
-                     "--config", cfg]) == 0
-        assert main(["simulate", str(art / "commands.txt"), rec,
-                     "--out", str(art / "sim.json"), "--config", cfg]) == 0
-
-    def test_action_chunk_loop(self, no_frame_records):
-        buf = io.StringIO()
-        ingest.serialize_recording(synthesize(spec_from_json(E2E_SPEC))[0], buf)
-        no_frame_records()
-        cfg = load_config()
-        ep = ingest.filter_confidence(ingest.parse_recording(
-            io.StringIO(buf.getvalue()), fps=50.0))
-        track, _ = segmentation.segment(ep, cfg.phase, seed=cfg.seed)
-        c = cfg.chunk
-        built = 0
-        for t0 in range(0, len(ep.frames) - c.horizon * c.nav_step, 8):
-            phase = int(track.labels[t0])
-            sub = chunks.subsample(ep, t0, c.horizon, c.nav_step, track)
-            chunks.modulate(chunks.upsample(sub, c.target_len), phase)
-            built += 1
-        assert built > 0
 
 
 class TestArtifactReaders:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from egonav.errors import DegenerateOrientationError, InvalidArgumentError
-from egonav.geometry import (Pose2, Pose3, VelocityCommand, compose,
+from egonav.geometry import (Pose2, VelocityCommand, compose,
                              ground_pose, rollout, step, to_frame, wrap,
                              yaw_quaternion)
 
@@ -180,8 +180,3 @@ class TestGroundProjection:
     def test_unknown_axis(self):
         with pytest.raises(InvalidArgumentError):
             ground_pose((0, 0, 0), (1, 0, 0, 0), forward_axis="up")
-
-
-def test_quaternion_norm_enforced():
-    with pytest.raises(InvalidArgumentError):
-        Pose3((0, 0, 0), (1.0, 0.5, 0.0, 0.0))

@@ -5,20 +5,31 @@ import warnings
 import numpy as np
 import pytest
 
-from egonav.errors import ParseError, SchemaError
-from egonav.geometry import Pose3, yaw_quaternion
-from egonav.ingest import (Episode, FrameRecord, HandSample, extract_waypoints,
-                           filter_confidence, parse_recording,
-                           serialize_recording)
+from egonav.errors import InvalidArgumentError, ParseError, SchemaError
+from egonav.geometry import yaw_quaternion
+from egonav.ingest import (Episode, extract_waypoints, filter_confidence,
+                           parse_recording, serialize_recording)
+
+from conftest import episode_of as episode, frame_row
 
 
 def frame(t, x=0.0, y=0.0, theta=0.0, lh=None, rh=None):
-    return FrameRecord(t, Pose3((x, y, 1.6), yaw_quaternion(theta)),
-                       left_hand=lh, right_hand=rh)
+    return frame_row(t, (x, y, 1.6), yaw_quaternion(theta), lh, rh)
 
 
-def episode(frames, fps=30.0):
-    return Episode(tuple(frames), fps=fps)
+def test_episode_takes_n_by_16_rows():
+    for frames, fps in ((np.zeros((3, 15)), 30.0), ([0.0] * 16, 30.0),
+                        (np.zeros((3, 16)), 0.0)):
+        with pytest.raises(InvalidArgumentError):
+            Episode(frames, fps)
+    # filter_confidence builds an empty episode when it drops every frame
+    empty = Episode(np.empty((0, 16)), 30.0)
+    assert len(empty.frames) == 0 and empty.hand_conf.shape == (0, 2)
+    rows = np.array([frame(0.0), frame(0.1)])
+    ep = Episode(rows, 30.0)
+    assert ep.frames is rows and not ep.frames.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ep.frames[0, 0] = 1.0
 
 
 class TestParse:
@@ -32,7 +43,7 @@ class TestParse:
     def test_three_valid_lines(self):
         ep = parse_recording(io.StringIO(self.VALID))
         assert len(ep.frames) == 3
-        assert ep.frames[1].left_hand.confidence == 0.9
+        assert ep.hand_conf[1, 0] == 0.9
 
     def test_missing_head_named(self):
         bad = '{"t": 0.0, "hand": {}}\n'
@@ -86,7 +97,7 @@ class TestParse:
     def test_accepts_finite_values_whose_sum_overflows(self):
         line = '{"t": 0.5, "head": {"p": [1e308, 1e308, 1.6], "q": [1, 0, 0, 0]}}'
         ep = parse_recording(io.StringIO(line))
-        assert ep.frames[0].head.position == (1e308, 1e308, 1.6)
+        assert ep.head_pos[0].tolist() == [1e308, 1e308, 1.6]
 
     def test_trailing_data_is_extra_data(self):
         text = '{"t": 0.0, %s}\n{"t": 0.5, %s} x\n' % (self.HEAD, self.HEAD)
@@ -103,7 +114,7 @@ class TestParse:
     def test_whitespace_only_lines_skipped(self):
         text = ' \n{"t": 0.0, %s}\n\t  \n\n{"t": 0.5, %s}\n  ' % (self.HEAD, self.HEAD)
         ep = parse_recording(io.StringIO(text))
-        assert [f.t for f in ep.frames] == [0.0, 0.5]
+        assert ep.t.tolist() == [0.0, 0.5]
 
     @pytest.mark.parametrize("line", [
         "[" * 100_000,
@@ -171,7 +182,7 @@ class TestParse:
         t = 0.0
         for _ in range(20):
             t += rng.uniform(0.01, 0.1)
-            lh = HandSample(tuple(rng.uniform(-1, 1, 3)), rng.uniform(0, 1)) \
+            lh = (rng.uniform(-1, 1, 3), rng.uniform(0, 1)) \
                 if rng.random() < 0.5 else None
             frames.append(frame(t, *rng.uniform(-5, 5, 2),
                                 rng.uniform(-math.pi, math.pi), lh=lh))
@@ -179,32 +190,32 @@ class TestParse:
         buf = io.StringIO()
         serialize_recording(ep, buf)
         back = parse_recording(io.StringIO(buf.getvalue()))
-        assert back.frames == ep.frames
+        assert back == ep
 
 
 class TestFilterConfidence:
     def test_negative_excluded(self):
         frames = [
-            frame(0.0, rh=HandSample((0, 0, 0), 0.9)),
-            frame(0.1, rh=HandSample((0, 0, 0), -1.0)),
-            frame(0.2, rh=HandSample((0, 0, 0), 0.5)),
+            frame(0.0, rh=((0, 0, 0), 0.9)),
+            frame(0.1, rh=((0, 0, 0), -1.0)),
+            frame(0.2, rh=((0, 0, 0), 0.5)),
         ]
         out = filter_confidence(episode(frames))
-        assert [f.t for f in out.frames] == [0.0, 0.2]
+        assert out.t.tolist() == [0.0, 0.2]
 
     def test_all_nonnegative_noop(self):
-        ep = episode([frame(0.0, rh=HandSample((0, 0, 0), 0.0)), frame(0.1)])
-        assert filter_confidence(ep).frames == ep.frames
+        ep = episode([frame(0.0, rh=((0, 0, 0), 0.0)), frame(0.1)])
+        assert filter_confidence(ep) == ep
 
     def test_total_exclusion(self):
-        ep = episode([frame(0.0, lh=HandSample((0, 0, 0), -0.5))])
+        ep = episode([frame(0.0, lh=((0, 0, 0), -0.5))])
         assert len(filter_confidence(ep).frames) == 0
 
     def test_idempotent(self):
-        frames = [frame(0.1 * i, rh=HandSample((0, 0, 0), c))
+        frames = [frame(0.1 * i, rh=((0, 0, 0), c))
                   for i, c in enumerate([0.5, -2.0, 1.0, -0.1, 0.0])]
         once = filter_confidence(episode(frames))
-        assert filter_confidence(once).frames == once.frames
+        assert filter_confidence(once) == once
 
 
 class TestWaypoints:

@@ -11,10 +11,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from egonav.errors import ParseError, SchemaError
-from egonav.geometry import Pose3
-from egonav.ingest import (Episode, FrameRecord, HandSample, _check_frame,
-                           _is_frame, filter_confidence, parse_recording,
-                           serialize_recording)
+from egonav.ingest import (Episode, _check_frame, _is_frame, filter_confidence,
+                           parse_recording, serialize_recording)
+
+from conftest import episode_of, frame_row
 
 # deterministic across runs, no example database, no timing flakes
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -37,33 +37,32 @@ def unit_quaternions(draw):
     return tuple(c / n for c in q)
 
 
-hands = st.none() | st.builds(HandSample, st.tuples(finite, finite, finite), finite)
+hands = st.none() | st.tuples(st.tuples(finite, finite, finite), finite)
 
 
 @st.composite
 def episodes(draw):
     times = sorted(draw(st.lists(finite, min_size=1, max_size=8, unique=True)))
-    frames = tuple(
-        FrameRecord(t, Pose3(draw(st.tuples(finite, finite, finite)),
-                             draw(unit_quaternions())), draw(hands), draw(hands))
-        for t in times)
-    return Episode(frames, fps=draw(st.floats(1.0, 240.0)))
+    rows = [frame_row(t, draw(st.tuples(finite, finite, finite)),
+                      draw(unit_quaternions()), draw(hands), draw(hands))
+            for t in times]
+    return episode_of(rows, fps=draw(st.floats(1.0, 240.0)))
 
 
 # int-valued fields and -0.0 next to arbitrary finite floats
 values = finite | st.integers(-10**6, 10**6) | st.just(-0.0)
 axis_quaternions = st.sampled_from([(1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1),
                                     (-0.0, 0.0, 1.0, -0.0)])
-any_hands = st.none() | st.builds(HandSample, st.tuples(values, values, values),
+any_hands = st.none() | st.tuples(st.tuples(values, values, values),
                                   values | st.floats(-1.0, 1.0))
 
 
 @st.composite
-def frame_lists(draw):
+def row_lists(draw):
     times = sorted(draw(st.lists(values, max_size=8, unique_by=float)))
-    return [FrameRecord(t, Pose3(draw(st.tuples(values, values, values)),
-                                 draw(unit_quaternions() | axis_quaternions)),
-                        draw(any_hands), draw(any_hands))
+    return [frame_row(t, draw(st.tuples(values, values, values)),
+                      draw(unit_quaternions() | axis_quaternions),
+                      draw(any_hands), draw(any_hands))
             for t in times]
 
 
@@ -72,33 +71,26 @@ def column_bits(ep):
     return [[float.hex(v) for v in np.ravel(c).tolist()] for c in cols]
 
 
-def reference_filter(frames):
-    """The frame-wise confidence filter that the column mask replaces."""
-    return [f for f in frames if all(h.confidence >= 0.0 for h in f.hands())]
+def reference_filter(rows):
+    """The frame-wise confidence filter that the column mask replaces.
+
+    A hand is present where its confidence (row columns 11 and 15) is not NaN.
+    """
+    return [r for r in rows
+            if all(math.isnan(c) or c >= 0.0 for c in (r[11], r[15]))]
 
 
 @PROPERTY
-@given(frame_lists())
-def test_episode_frames_equal_the_frames_it_was_built_from(frames):
-    ep = Episode(frames, fps=30.0)
-    assert ep.frames == frames and frames == ep.frames
-    assert ep.frames == tuple(frames) and list(ep.frames) == frames
-    assert len(ep.frames) == len(frames)
-    assert [ep.frames[i] for i in range(-len(frames), len(frames))] == frames * 2
-
-
-@PROPERTY
-@given(frame_lists().filter(len))
-def test_parsed_columns_equal_constructed_columns_bit_for_bit(frames):
-    ep = Episode(frames, fps=30.0)
+@given(row_lists().filter(len))
+def test_parsed_columns_equal_constructed_columns_bit_for_bit(rows):
+    ep = episode_of(rows)
     assert column_bits(parse_recording(lines_of(ep))) == column_bits(ep)
 
 
 @PROPERTY
-@given(frame_lists())
-def test_filter_confidence_matches_frame_wise_filter(frames):
-    assert filter_confidence(Episode(frames, fps=30.0)).frames == \
-        reference_filter(frames)
+@given(row_lists())
+def test_filter_confidence_matches_frame_wise_filter(rows):
+    assert filter_confidence(episode_of(rows)) == episode_of(reference_filter(rows))
 
 
 @PROPERTY

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from egonav.config import PipelineConfig, effective_parameters, parse_config
 from egonav.errors import ConfigError
@@ -16,7 +17,9 @@ from egonav.geometry import Pose2, VelocityCommand, compose, to_frame, wrap
 from egonav.ingest import WaypointTrack
 from egonav.retarget import (RetargetConfig, RetargetSolution, read_command_file,
                              retarget_track, write_command_file)
-from egonav.segmentation import PhaseConfig, candidate_mask, runs
+from egonav.segmentation import (MANIPULATION, NAVIGATION, GmmModel,
+                                 PhaseConfig, PhaseTrack, candidate_mask,
+                                 read_phase_file, runs, write_phase_file)
 from egonav.simulator import simulate
 
 # deterministic across runs, no example database, no timing flakes
@@ -135,6 +138,41 @@ def test_command_file_round_trips_bit_exactly(tmp_path_factory, drawn):
     text = path.read_bytes()
     write_command_file(path, back, back_cfg)
     assert path.read_bytes() == text  # repr-equal floats are bit-equal, -0.0 too
+
+
+@st.composite
+def gmm_models(draw):
+    """A K-component model of arbitrary finite floats, -0.0 and subnormals too."""
+    k = draw(st.integers(1, 4))
+    return GmmModel(*(draw(arrays(np.float64, shape, elements=finite))
+                      for shape in ((k,), (k, 2), (k, 2, 2))))
+
+
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+phase_configs = st.builds(PhaseConfig, positive, positive, st.integers(1, 10**6),
+                          st.integers(1, 64), positive, positive)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([MANIPULATION, NAVIGATION]), max_size=50),
+       st.none() | gmm_models(), phase_configs, st.integers(0, 2**70))
+@example([], GmmModel(np.array([-0.0]), np.array([[5e-324, -5e-324]]),
+                      np.array([[[1e-310, -0.0], [0.0, 1.0]]])),
+         PhaseConfig(), 2**70)
+def test_phase_file_round_trips_bit_exactly(tmp_path_factory, labels, model,
+                                            cfg, seed):
+    path = tmp_path_factory.mktemp("phases") / "phases.json"
+    write_phase_file(path, PhaseTrack(np.asarray(labels, dtype=np.int64)),
+                     model, cfg, seed)
+    track, back, back_cfg, back_seed = read_phase_file(path)
+    assert track.labels.dtype == np.int64 and track.labels.tolist() == labels
+    assert (back is None) == (model is None)
+    if model is not None:
+        for name in ("weights", "means", "covariances"):
+            a, b = getattr(model, name), getattr(back, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert back_cfg == cfg and repr(back_cfg) == repr(cfg)  # ints stay ints
+    assert back_seed == seed
 
 
 @PROPERTY

@@ -5,8 +5,7 @@ import pytest
 
 from egonav import segmentation
 from egonav.errors import InvalidArgumentError, NoManipulationZonesError
-from egonav.geometry import Pose3, yaw_quaternion
-from egonav.ingest import Episode, FrameRecord, HandSample
+from egonav.geometry import yaw_quaternion
 from egonav.segmentation import (MANIPULATION, NAVIGATION, GmmModel,
                                  PhaseConfig, PhaseTrack, candidate_mask,
                                  classify, gmm_fit, gmm_pdf, read_phase_file,
@@ -14,7 +13,7 @@ from egonav.segmentation import (MANIPULATION, NAVIGATION, GmmModel,
                                  write_phase_file)
 from egonav.simulator import score_segmentation, synthesize
 
-from conftest import two_zone_spec
+from conftest import episode_of, frame_row, two_zone_spec
 
 try:
     from hypothesis import example, given, settings, strategies as st
@@ -32,14 +31,14 @@ def reference_log_gauss(points, mean, cov):
 
 
 def make_episode(head_xy, hand_pos=None, fps=30.0):
-    frames = []
+    rows = []
     for i, (x, y) in enumerate(head_xy):
         hand = None
         if hand_pos is not None and hand_pos[i] is not None:
-            hand = HandSample(hand_pos[i], 1.0)
-        frames.append(FrameRecord(i / fps, Pose3((x, y, 1.6), yaw_quaternion(0.0)),
-                                  right_hand=hand))
-    return Episode(tuple(frames), fps=fps)
+            hand = (hand_pos[i], 1.0)
+        rows.append(frame_row(i / fps, (x, y, 1.6), yaw_quaternion(0.0),
+                              right=hand))
+    return episode_of(rows, fps)
 
 
 class TestVelocities:

@@ -84,7 +84,7 @@ class TestSynthesize:
         spec = SynthSpec((SynthSegment("straight", 2.0, speed=1.0),), fps=30.0)
         ep, track = synthesize(spec)
         assert len(ep.frames) == 60
-        assert ep.frames[-1].head.position[0] == pytest.approx(2.0)
+        assert ep.head_pos[-1, 0] == pytest.approx(2.0)
         assert (track.labels == NAVIGATION).all()
 
     def test_arc_stays_on_circle(self):
@@ -92,8 +92,7 @@ class TestSynthesize:
                          fps=50.0)
         ep, _ = synthesize(spec)
         r = 1.0 / 0.8
-        for fr in ep.frames:
-            x, y, _ = fr.head.position
+        for x, y, _ in ep.head_pos.tolist():
             assert math.hypot(x, y - r) == pytest.approx(r, abs=1e-9)
 
     def test_pause_has_hand_and_labels(self):
@@ -101,7 +100,7 @@ class TestSynthesize:
                          fps=30.0, noise_std=0.002, seed=3)
         ep, track = synthesize(spec)
         assert (track.labels == MANIPULATION).all()
-        assert all(fr.right_hand is not None for fr in ep.frames)
+        assert not np.isnan(ep.hand_conf[:, 1]).any()
 
     def test_deterministic(self):
         a, _ = synthesize(two_zone_spec(seed=17))
@@ -122,7 +121,7 @@ class TestSynthesize:
         spec = SynthSpec((SynthSegment("pause-and-manipulate", 2.0),),
                          fps=30.0, noise_std=0.0)
         ep, _ = synthesize(spec)
-        pts = [np.asarray(fr.right_hand.position) for fr in ep.frames]
+        pts = ep.hand_pos[:, 1]
         speeds = [np.linalg.norm(b - a) * 30.0 for a, b in zip(pts, pts[1:])]
         expected = 2 * math.pi * 2.0 * 0.3  # circle speed at 2 Hz, 0.3 m
         assert np.mean(speeds) == pytest.approx(expected, rel=0.05)
