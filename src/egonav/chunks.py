@@ -6,17 +6,27 @@ frame at the observation time, upsampling to a unified length (linear
 x/y, atan2-blended yaw), and finally modulating waypoints with the
 predicted phase to keep the base still during manipulation.
 
-:func:`upsample` reads its interpolation grid (segment indices, weights,
-the points that land on a waypoint and the nearest-index phase map) from
-a small cache keyed by ``(n, target_len)``; the grid's arrays are
-read-only. It takes ``math.sin``/``math.cos`` once per input waypoint,
-blends x, y, sin and cos over the whole grid in one stacked numpy
-operation, and takes each output yaw with ``math.atan2`` (``np.arctan2``
-differs from it by one ulp on some inputs). Grid points that land on a
-waypoint, and blends of near-zero norm, go through :func:`blend_yaw`,
-which owns those edge rules. The output poses are built as ``Pose2``
-tuples directly, without a Python call per point. The result is
-bit-identical to blending point by point.
+:func:`subsample` slices the episode's ground track, which
+:meth:`Episode.ground_track <egonav.ingest.Episode.ground_track>`
+projects once per episode, and moves the slice into the observation
+frame with :func:`~egonav.geometry.to_frame_rows`.
+
+:func:`upsample` reads its interpolation grid (the stacked segment end
+indices and their weights, the points that land on a waypoint and the
+nearest-index phase map) from a small cache keyed by
+``(n, target_len)``; the grid's arrays are read-only. It takes
+``math.sin``/``math.cos`` once per input waypoint, blends x, y, sin and
+cos over the whole grid with one gather, one product and one add, and
+takes each output yaw with ``math.atan2`` (``np.arctan2`` differs from
+it by one ulp on some inputs). A grid point that lands on a waypoint
+takes that waypoint's wrapped yaw, as :func:`blend_yaw` does at s = 0
+and s = 1, and blends of near-zero norm go through ``blend_yaw``, which
+owns that edge rule. The output poses are built as ``Pose2`` tuples
+directly, without a Python call per point. The result is bit-identical
+to blending point by point.
+
+:class:`ActionChunk` is a :class:`typing.NamedTuple` whose constructor
+checks that waypoints and phases have one length.
 """
 
 from __future__ import annotations
@@ -24,32 +34,39 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import Pose2, ground_pose, to_frame, wrap
+from .geometry import Pose2, require_yaw, to_frame_rows, wrap
 from .ingest import Episode
 from .segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 
 TARGET_LEN = 100  # unified interpolated chunk length
 
 
-@dataclass(frozen=True)
-class ActionChunk:
-    """Egocentric waypoints with per-step phase labels."""
-
+class _ChunkFields(NamedTuple):
     waypoints: tuple[Pose2, ...]
     phases: tuple[int, ...]
     horizon: int
     step: int
 
-    def __post_init__(self):
-        if len(self.waypoints) != len(self.phases):
+
+class ActionChunk(_ChunkFields):
+    """Egocentric waypoints with per-step phase labels."""
+
+    __slots__ = ()
+
+    def __new__(cls, waypoints, phases, horizon, step):
+        if len(waypoints) != len(phases):
             raise InvalidArgumentError("waypoints and phases lengths differ")
+        return tuple.__new__(cls, (waypoints, phases, horizon, step))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through it; keep the check
+        return cls(*iterable)
 
 
 def subsample(ep: Episode, t0: int, horizon: int, step: int,
@@ -58,7 +75,13 @@ def subsample(ep: Episode, t0: int, horizon: int, step: int,
 
     All poses are expressed in the frame of the ground-projected pose at
     t0 (the observation time), each carrying its frame's phase label.
+    ``phases`` must label every frame of the episode. A frame whose yaw
+    is undefined fails only the chunks that sample it.
     """
+    if len(phases) != len(ep.t):
+        raise InvalidArgumentError(
+            f"phase track has {len(phases)} labels for an episode of "
+            f"{len(ep.t)} frames")
     if t0 < 0 or step < 1:
         raise InvalidArgumentError(
             f"chunk start {t0} must be >= 0 and step {step} >= 1")
@@ -66,11 +89,10 @@ def subsample(ep: Episode, t0: int, horizon: int, step: int,
     if stop > len(ep.t):
         raise InvalidArgumentError(
             f"chunk [{t0}, {stop - 1}] exceeds episode length {len(ep.t)}")
-    pos = ep.head_pos[t0:stop:step].tolist()
-    quat = ep.head_quat[t0:stop:step].tolist()
-    ref = ground_pose(pos[0], quat[0], forward_axis)
-    waypoints = tuple([to_frame(ref, ground_pose(p, q, forward_axis))
-                       for p, q in zip(pos[1:], quat[1:])])
+    poses = ep.ground_track(forward_axis)[t0:stop:step]
+    require_yaw(poses)
+    ref, *rest = poses.tolist()
+    waypoints = to_frame_rows(ref, rest)
     labels = tuple(phases.labels[t0 + step:stop:step].tolist())
     return ActionChunk(waypoints, labels, horizon, step)
 
@@ -95,11 +117,11 @@ def blend_yaw(theta_a: float, theta_b: float, s: float) -> float:
 class _Grid(NamedTuple):
     """The interpolation grid of one (n, target_len) pair."""
 
-    a: np.ndarray  # (T,) read-only: segment start index of each grid point
-    b: np.ndarray  # (T,) read-only: segment end index, a + 1
-    r: np.ndarray  # (T,) read-only: weight of a, 1 - s
-    s: np.ndarray  # (T,) read-only: weight of b
-    on_waypoint: tuple[tuple[int, int, float], ...]  # (j, a, s) where s is 0 or 1
+    # (2, 4, T) read-only: per grid point, the flat index into the (4, n)
+    # rows x, y, sin, cos of its segment's start (0) and end (1) waypoint
+    index: np.ndarray
+    weights: np.ndarray  # (2, 4, T) read-only: 1 - s at the start, s at the end
+    on_waypoint: tuple[tuple[int, int], ...]  # (j, k): point j lands on waypoint k
     nearest: operator.itemgetter  # picks the nearest source index's item per point
 
 
@@ -108,12 +130,14 @@ def _grid(n: int, target_len: int) -> _Grid:
     u = np.arange(target_len) / (target_len - 1) * (n - 1)
     a = np.minimum(u.astype(np.intp), n - 2)
     s = u - a
-    on = np.flatnonzero((s == 0.0) | (s == 1.0)).tolist()
-    grid = _Grid(a, a + 1, 1.0 - s, s,
-                 tuple(zip(on, a[on].tolist(), s[on].tolist())),
+    on = np.flatnonzero((s == 0.0) | (s == 1.0))
+    rows = n * np.arange(4)[:, None]  # where x, y, sin and cos start
+    grid = _Grid(np.stack([rows + a, rows + a + 1]),
+                 np.stack([1.0 - s, s])[:, None].repeat(4, axis=1),
+                 tuple(zip(on.tolist(), (a[on] + s[on].astype(np.intp)).tolist())),
                  operator.itemgetter(*np.rint(u).astype(np.intp).tolist()))
-    for arr in (grid.a, grid.b, grid.r, grid.s):
-        arr.flags.writeable = False
+    grid.index.flags.writeable = False
+    grid.weights.flags.writeable = False
     return grid
 
 
@@ -131,20 +155,24 @@ def upsample(chunk: ActionChunk, target_len: int = TARGET_LEN) -> ActionChunk:
         raise InvalidArgumentError("target_len must be >= chunk length")
     g = _grid(n, target_len)
     x, y, theta = zip(*chunk.waypoints)
-    ch = np.array([x, y, list(map(math.sin, theta)), list(map(math.cos, theta))],
-                  dtype=float)
-    xs, ys, sy, cy = g.r * ch[:, g.a] + g.s * ch[:, g.b]
-    yaw = list(map(math.atan2, sy.tolist(), cy.tolist()))
-    for j, k, s in g.on_waypoint:
-        yaw[j] = blend_yaw(theta[k], theta[k + 1], s)
-    # |sy| + |cy| < 2e-12 holds for every blend whose hypot is below
-    # blend_yaw's 1e-12 cut, so blend_yaw decides all of those; no grid
-    # point on a waypoint is among them, as its |sy| + |cy| is >= 1
-    for j in np.flatnonzero(np.abs(sy) + np.abs(cy) < 2e-12).tolist():
-        k = int(g.a[j])
-        yaw[j] = blend_yaw(theta[k], theta[k + 1], float(g.s[j]))
-    out_wp = tuple(map(tuple.__new__, repeat(Pose2),
-                       zip(xs.tolist(), ys.tolist(), yaw)))
+    sin, cos = list(map(math.sin, theta)), list(map(math.cos, theta))
+    ends = np.array([x, y, sin, cos], dtype=float).take(g.index)
+    ends *= g.weights
+    xs, ys, sy, cy = (ends[0] + ends[1]).tolist()
+    yaw = list(map(math.atan2, sy, cy))
+    for j, k in g.on_waypoint:
+        yaw[j] = wrap(theta[k])
+    # On a segment whose end yaws give unit vectors u, v with |u + v| >=
+    # 1e-6, every blend is about |u + v| / 2 or more from the origin, far
+    # above blend_yaw's 1e-12 cut. Otherwise |sy| + |cy| < 2e-12 holds for
+    # every blend below the cut, so blend_yaw decides all of those; no
+    # grid point on a waypoint is among them, as its |sy| + |cy| is >= 1
+    if min(map(math.hypot, map(operator.add, sin, sin[1:]),
+               map(operator.add, cos, cos[1:]))) < 1e-6:
+        for j in np.flatnonzero(np.abs(sy) + np.abs(cy) < 2e-12).tolist():
+            k = int(g.index[0, 0, j])
+            yaw[j] = blend_yaw(theta[k], theta[k + 1], float(g.weights[1, 0, j]))
+    out_wp = tuple(map(tuple.__new__, repeat(Pose2), zip(xs, ys, yaw)))
     return ActionChunk(out_wp, g.nearest(chunk.phases), chunk.horizon, chunk.step)
 
 
@@ -160,13 +188,13 @@ def modulate(chunk: ActionChunk, current_phase: int) -> ActionChunk:
     most recent preceding navigation waypoint (leading ones to the null
     displacement) so the base never chases manipulation head noise.
     """
-    wps = list(chunk.waypoints)
+    wps = chunk.waypoints
     n = len(wps)
     if current_phase == MANIPULATION:
-        j = next((i for i, p in enumerate(chunk.phases) if p == NAVIGATION), None)
-        if j is None:
+        if NAVIGATION not in chunk.phases:
             out = [Pose2(0.0, 0.0, 0.0)] * n
         else:
+            j = chunk.phases.index(NAVIGATION)
             target = wps[j]
             out = []
             for i in range(n):

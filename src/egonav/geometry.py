@@ -12,13 +12,19 @@ bit, and the tests compare them.
 cheap to build, and, as a tuple of floats, untracked by the garbage
 collector. Being a tuple, a ``Pose2`` compares equal to the plain 3-tuple
 ``(x, y, theta)`` with the same values.
+
+:func:`ground_poses` projects a whole array of head poses onto the
+ground at once and equals the scalar :func:`ground_pose` row by row, bit
+for bit; :func:`to_frame_rows` moves many poses into one reference frame.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DegenerateOrientationError, InvalidArgumentError
 
@@ -33,6 +39,7 @@ FORWARD_AXES = {
     "+z": (0.0, 0.0, 1.0),
     "-z": (0.0, 0.0, -1.0),
 }
+_DEGENERATE = "forward axis is (anti)parallel to gravity; yaw undefined"
 
 
 def wrap(angle: float) -> float:
@@ -108,14 +115,23 @@ def to_frame(reference: Pose2, target: Pose2) -> Pose2:
     Inverse of :func:`compose` up to rounding: compose(ref, to_frame(ref, t))
     equals t to within a few ulps of the coordinates, not bit for bit.
     """
-    dx = target.x - reference.x
-    dy = target.y - reference.y
-    c, s = math.cos(reference.theta), math.sin(reference.theta)
-    return Pose2(
-        c * dx + s * dy,
-        -s * dx + c * dy,
-        wrap(target.theta - reference.theta),
-    )
+    return to_frame_rows(reference, (target,))[0]
+
+
+def to_frame_rows(reference: Sequence[float],
+                  targets: Iterable[Sequence[float]]) -> tuple[Pose2, ...]:
+    """Express each (x, y, theta) of ``targets`` in the frame of ``reference``.
+
+    :func:`to_frame` is this function on one target, so the two agree
+    bit for bit.
+    """
+    rx, ry, rt = reference
+    c, s = math.cos(rt), math.sin(rt)
+    new = tuple.__new__
+    return tuple([new(Pose2, (c * (x - rx) + s * (y - ry),
+                              -s * (x - rx) + c * (y - ry),
+                              wrap(t - rt)))
+                  for x, y, t in targets])
 
 
 def rotate_vector(q: tuple[float, float, float, float],
@@ -142,16 +158,45 @@ def ground_pose(position: Sequence[float], orientation: Sequence[float],
     forward axis projected onto the plane. Which device axis points
     "forward" depends on the sensor mounting, so it is configurable.
     """
+    fx, fy, fz = rotate_vector(orientation, _axis(forward_axis))
+    if math.hypot(fx, fy) < 1e-6:
+        raise DegenerateOrientationError(_DEGENERATE)
+    return Pose2(position[0], position[1], wrap(math.atan2(fy, fx)))
+
+
+def ground_poses(positions: np.ndarray, orientations: np.ndarray,
+                 forward_axis: str = "+x") -> np.ndarray:
+    """:func:`ground_pose` of each row of (n, 3) positions and (n, 4) quaternions.
+
+    Returns (n, 3) rows (x, y, yaw), each equal to ``ground_pose``'s
+    result bit for bit: :func:`rotate_vector` runs on whole columns in
+    its own order of operations, the degeneracy test takes
+    ``math.hypot`` and each yaw is ``wrap(math.atan2(fy, fx))``. A row
+    whose yaw is undefined gets a NaN yaw instead of raising; see
+    :func:`require_yaw`.
+    """
+    fx, fy, fz = rotate_vector(orientations.T, _axis(forward_axis))
+    fx, fy = fx.tolist(), fy.tolist()
+    yaw = np.array(list(map(wrap, map(math.atan2, fy, fx))), dtype=float)
+    yaw[np.array(list(map(math.hypot, fx, fy))) < 1e-6] = math.nan
+    return np.column_stack([positions[:, 0], positions[:, 1], yaw])
+
+
+def require_yaw(poses: np.ndarray) -> None:
+    """Raise DegenerateOrientationError if a row of ``poses`` has a NaN yaw.
+
+    ``poses`` are rows of :func:`ground_poses`, which marks an undefined
+    yaw that way.
+    """
+    if np.isnan(poses[:, 2]).any():
+        raise DegenerateOrientationError(_DEGENERATE)
+
+
+def _axis(forward_axis: str) -> tuple[float, float, float]:
     try:
-        axis = FORWARD_AXES[forward_axis]
+        return FORWARD_AXES[forward_axis]
     except KeyError:
         raise InvalidArgumentError(f"unknown forward axis {forward_axis!r}") from None
-    fx, fy, fz = rotate_vector(orientation, axis)
-    if math.hypot(fx, fy) < 1e-6:
-        raise DegenerateOrientationError(
-            "forward axis is (anti)parallel to gravity; yaw undefined"
-        )
-    return Pose2(position[0], position[1], wrap(math.atan2(fy, fx)))
 
 
 def yaw_quaternion(theta: float) -> tuple[float, float, float, float]:

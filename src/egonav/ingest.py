@@ -11,7 +11,8 @@ so serialize -> parse reproduces an episode bit-exactly.
 
 An :class:`Episode` holds a recording as one array of numbers, a row per
 frame; the parser fills it straight from the decoded lines, and every
-later stage reads its columns.
+later stage reads its columns. The parser reads each decoded frame's
+fields once: the same pass builds the row and checks it in aggregate.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterable
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError, SchemaError
-from .geometry import Pose2, ground_pose
+from .geometry import Pose2, ground_poses, require_yaw
 
 DEFAULT_D_THRESH = 0.25  # meters between consecutive waypoints
 
@@ -50,10 +52,14 @@ class Episode:
     Both hand columns hold NaN where a hand is absent. Two episodes are
     equal when their fps and frames are, NaN equal to NaN. ``fps`` is
     stored and compared only: every stage takes its times from ``t``.
+
+    :meth:`ground_track` projects every frame onto the ground once per
+    forward axis and keeps the result; the frames are read-only, so the
+    kept track cannot go stale.
     """
 
     __slots__ = ("frames", "t", "head_pos", "head_quat", "hand_pos",
-                 "hand_conf", "fps")
+                 "hand_conf", "fps", "_ground")
 
     def __init__(self, frames: np.ndarray, fps: float):
         frames = np.asarray(frames, dtype=float)
@@ -71,6 +77,20 @@ class Episode:
         self.hand_pos = hands[:, :, :3]
         self.hand_conf = hands[:, :, 3]
         self.fps = fps
+        self._ground = {}
+
+    def ground_track(self, forward_axis: str = "+x") -> np.ndarray:
+        """:func:`~egonav.geometry.ground_poses` of every frame, read-only (n, 3).
+
+        Computed on the first call for an axis and kept; a frame whose
+        yaw is undefined holds a NaN yaw.
+        """
+        track = self._ground.get(forward_axis)
+        if track is None:
+            track = ground_poses(self.head_pos, self.head_quat, forward_axis)
+            track.setflags(write=False)
+            self._ground[forward_axis] = track
+        return track
 
     def __eq__(self, other):
         if not isinstance(other, Episode):
@@ -114,32 +134,39 @@ def finite_number(v) -> bool:
         return False
 
 
-def _is_frame(obj) -> bool:
-    """Whether ``obj`` is a well-formed frame, checked in aggregate.
+def _frame_row(obj) -> list | None:
+    """The row of ``obj``, if it is a well-formed frame checked in aggregate.
 
-    The shapes are checked, then one sum of all the frame's numbers: it
-    fails or is not finite when a value is not a finite number (a bool
-    passes as 0 or 1), and also when finite values overflow it, which
-    :func:`_check_frame` lets through.
+    Each field is read once, for both the row and the check. The shapes
+    are checked, then one sum of all the frame's numbers: it fails or is
+    not finite when a value is not a finite number (a bool passes as 0
+    or 1), and also when finite values overflow it, which
+    :func:`_check_frame` lets through. Returns None when the check fails.
     """
     try:
         head = obj["head"]
         p, q = head["p"], head["q"]
         ok = isinstance(p, list) and len(p) == 3 and isinstance(q, list) and len(q) == 4
-        total = obj["t"] + sum(p) + sum(q)
+        t = obj["t"]
+        total = t + sum(p) + sum(q)
+        row = [t, *p, *q]
         for key in ("lh", "rh"):
             hand = obj.get(key)
-            if hand is not None:
-                hp = hand["p"]
+            if hand is None:
+                row += _NO_HAND
+            else:
+                hp, c = hand["p"], hand["c"]
                 ok = ok and isinstance(hp, list) and len(hp) == 3
-                total += sum(hp) + hand["c"]
-        return ok and math.isfinite(total)
+                total += sum(hp) + c
+                row += hp
+                row.append(c)
+        return row if ok and math.isfinite(total) else None
     except (KeyError, TypeError, AttributeError, OverflowError):
-        return False
+        return None
 
 
-def _check_frame(obj, line_no: int) -> None:
-    """Raise a ParseError naming the first malformed field of ``obj``, if any."""
+def _check_frame(obj, line_no: int) -> list:
+    """The row of ``obj``, or a ParseError naming its first malformed field."""
     if not isinstance(obj, dict):
         raise ParseError("a frame must be a JSON object", line_no)
     t = _entry(obj, "t", "t", line_no)
@@ -154,6 +181,11 @@ def _check_frame(obj, line_no: int) -> None:
     for name, values in fields.items():
         if not all(map(finite_number, values)):
             raise ParseError(f"field {name!r} must hold finite numbers", line_no)
+    row = [t, *fields["head.p"], *fields["head.q"]]
+    for key in ("lh", "rh"):
+        hand = fields.get(key + ".p")
+        row += _NO_HAND if hand is None else hand + fields[key + ".c"]
+    return row
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -217,21 +249,12 @@ def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0) -> Episo
             if not line:
                 continue
             obj = _decode(line, line_no)
+            row = _frame_row(obj)
             # JSON true and false decode to bools, which sum like 1 and 0
-            if "true" in line or "false" in line or not _is_frame(obj):
-                _check_frame(obj, line_no)
-            t = float(obj["t"])
-            head = obj["head"]
-            flat.append(t)
-            flat += head["p"]
-            flat += head["q"]
-            for key in ("lh", "rh"):
-                hand = obj.get(key)
-                if hand is None:
-                    flat += _NO_HAND
-                else:
-                    flat += hand["p"]
-                    flat.append(hand["c"])
+            if row is None or "true" in line or "false" in line:
+                row = _check_frame(obj, line_no)
+            t = float(row[0])
+            flat += row
             # the row goes in first: a bad quaternion on this line wins
             line_nos.append(line_no)
             if t <= last_t:
@@ -295,7 +318,7 @@ def extract_waypoints(ep: Episode, d_thresh: float = DEFAULT_D_THRESH,
         if math.hypot(xs[i] - last_x, ys[i] - last_y) >= d_thresh:
             picked.append(i)
             last_x, last_y = xs[i], ys[i]
-    pos, quat = ep.head_pos[picked].tolist(), ep.head_quat[picked].tolist()
-    waypoints = tuple(zip(picked, [ground_pose(p, q, forward_axis)
-                                   for p, q in zip(pos, quat)]))
-    return WaypointTrack(waypoints)
+    poses = ground_poses(ep.head_pos[picked], ep.head_quat[picked], forward_axis)
+    require_yaw(poses)
+    return WaypointTrack(tuple(zip(picked, map(tuple.__new__, repeat(Pose2),
+                                                 poses.tolist()))))

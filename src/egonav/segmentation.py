@@ -8,6 +8,13 @@ positions in candidate frames -> per-frame density-threshold labels
 The EM fit is written here rather than delegated to sklearn because the
 tests need bit-exact seeded determinism, an inspectable log-likelihood
 history, and a fixed covariance floor.
+
+The E-step holds the log joint densities as (K, n) rows, one per
+component, so the log-sum-exp takes its maximum and its sum with whole-row
+operations instead of per-point reductions over K columns. The sum adds
+the rows in the order numpy's pairwise sum adds a point's K values, so it
+equals the point-major form (kept in the tests as the reference) bit for
+bit. The M-step gets the responsibilities as a C-order (n, K) array.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NoManipulationZonesError
-from .ingest import Episode
+from .ingest import Episode, finite_number
 
 MANIPULATION = 0
 NAVIGATION = 1
@@ -169,25 +176,59 @@ def _log_gauss(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndar
 
 
 def _log_joint(model: GmmModel, points: np.ndarray) -> np.ndarray:
-    """log w_j + log N(x | mean_j, cov_j): one row per point, one column per component."""
+    """log w_j + log N(x | mean_j, cov_j) as (K, n) rows, one per component."""
     return np.stack([
         np.log(model.weights[j]) + _log_gauss(points, model.means[j],
                                               model.covariances[j])
         for j in range(model.k)
-    ], axis=1)
+    ])
+
+
+def _component_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the (K, n) component rows, per point.
+
+    Bit-identical to ``cols.sum(axis=1)`` of the same values held as a
+    C-order (n, K) array ``cols``. numpy sums each point's K values
+    pairwise: below 8 in sequence; up to 128 in eight running partial
+    sums, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the rest in sequence; above 128 as the sum of two halves split
+    at a multiple of 8.
+    """
+    k = len(rows)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _component_sum(rows[:half]) + _component_sum(rows[half:])
+    if k < 8:
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        return total
+    r = rows[:8].copy()
+    stop = k - k % 8
+    for i in range(8, stop, 8):
+        r += rows[i:i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in rows[stop:]:
+        total += row
+    return total
+
+
+def _logsumexp(log_p: np.ndarray) -> np.ndarray:
+    """log of the summed exp over the components of (K, n) rows, per point."""
+    m = log_p.max(axis=0)
+    return m + np.log(_component_sum(np.exp(log_p - m)))
+
+
+def _posterior(log_p: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
+    """Component probabilities from (K, n) rows, as a C-order (n, K) array."""
+    return np.ascontiguousarray(np.exp(log_p - log_norm).T)
 
 
 def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
     """E-step posterior component probabilities, one row per point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     log_p = _log_joint(model, points)
-    log_norm = _logsumexp(log_p)
-    return np.exp(log_p - log_norm[:, None])
-
-
-def _logsumexp(log_p: np.ndarray) -> np.ndarray:
-    m = log_p.max(axis=1)
-    return m + np.log(np.exp(log_p - m[:, None]).sum(axis=1))
+    return _posterior(log_p, _logsumexp(log_p))
 
 
 def gmm_fit(points, cfg: PhaseConfig, seed: int = 0) -> GmmModel:
@@ -217,7 +258,7 @@ def gmm_fit(points, cfg: PhaseConfig, seed: int = 0) -> GmmModel:
         log_p = _log_joint(model, points)
         log_norm = _logsumexp(log_p)
         ll = float(log_norm.mean())
-        resp = np.exp(log_p - log_norm[:, None])
+        resp = _posterior(log_p, log_norm)
 
         nk = resp.sum(axis=0)
         nk = np.maximum(nk, 1e-12)
@@ -293,6 +334,23 @@ def write_phase_file(path, track: PhaseTrack, model: Optional[GmmModel],
         fh.write("\n")
 
 
+def _gmm_field(g: dict, name: str, shape: Optional[tuple]) -> np.ndarray:
+    """``g[name]`` as a float array of finite numbers of ``shape``.
+
+    A ``shape`` of None asks for (K,) with K >= 1.
+    """
+    try:
+        arr = np.asarray(g.get(name), dtype=object)
+    except ValueError:  # nested lists of unequal lengths
+        arr = None
+    if shape is None and arr is not None and arr.ndim == 1 and len(arr):
+        shape = arr.shape
+    if arr is None or arr.shape != shape or not all(map(finite_number, arr.flat)):
+        want = "(K,), K >= 1" if shape is None else str(shape)
+        raise ValueError(f"'gmm.{name}' must be a {want} array of finite numbers")
+    return arr.astype(float)
+
+
 def read_phase_file(path) -> tuple[PhaseTrack, Optional[GmmModel], PhaseConfig, int]:
     """Read a phase file; a missing or malformed field raises InvalidArgumentError."""
     with open(path) as fh:
@@ -312,8 +370,12 @@ def read_phase_file(path) -> tuple[PhaseTrack, Optional[GmmModel], PhaseConfig, 
         model = None
         if obj.get("gmm") is not None:
             g = obj["gmm"]
-            model = GmmModel(np.asarray(g["weights"]), np.asarray(g["means"]),
-                             np.asarray(g["covariances"]))
+            if not isinstance(g, dict):
+                raise ValueError("'gmm' must be a JSON object or null")
+            weights = _gmm_field(g, "weights", None)
+            k = len(weights)
+            model = GmmModel(weights, _gmm_field(g, "means", (k, 2)),
+                             _gmm_field(g, "covariances", (k, 2, 2)))
         return track, model, PhaseConfig(**obj["config"]), int(obj["seed"])
     except KeyError as exc:
         raise InvalidArgumentError(f"{path}: missing field {exc}") from None

@@ -9,7 +9,7 @@ from egonav import chunks
 from egonav.chunks import (ActionChunk, blend_yaw, modulate, subsample,
                            upsample)
 from egonav.config import ChunkConfig
-from egonav.errors import InvalidArgumentError
+from egonav.errors import DegenerateOrientationError, InvalidArgumentError
 from egonav.geometry import Pose2, ground_pose, to_frame, wrap, yaw_quaternion
 from egonav.segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 from egonav.simulator import SynthSegment, SynthSpec, synthesize
@@ -197,6 +197,71 @@ def test_dataset_digest_equals_reference():
     assert fast == ref
 
 
+def test_degenerate_frame_fails_only_the_chunks_that_sample_it():
+    # frame 37 pitches +x straight down, so its yaw is undefined
+    ep = walk_episode(n=60)
+    rows = np.array(ep.frames)
+    h = 0.5 * (-math.pi / 2)
+    rows[37, 4:8] = (math.cos(h), 0.0, math.sin(h), 0.0)
+    ep = episode_of(rows)
+    track = nav_track(60)
+    failed = 0
+    for step in (1, 2, 3, 8):
+        for t0 in range(0, 60 - 5 * step):
+            if 37 in range(t0, t0 + 5 * step + 1, step):
+                failed += 1
+                with pytest.raises(DegenerateOrientationError):
+                    subsample(ep, t0, 5, step, track)
+                with pytest.raises(DegenerateOrientationError):
+                    reference_subsample(ep, t0, 5, step, track)
+            else:
+                assert bits(subsample(ep, t0, 5, step, track)) == \
+                    bits(reference_subsample(ep, t0, 5, step, track))
+    assert failed > 10
+
+
+@pytest.mark.parametrize("n_labels", [99, 200])
+def test_subsample_rejects_a_phase_track_of_another_length(n_labels):
+    with pytest.raises(InvalidArgumentError, match=f"{n_labels} labels .* 100 frames"):
+        subsample(walk_episode(), 0, 5, 8, nav_track(n_labels))
+
+
+def test_ground_track_is_kept_per_axis_and_read_only():
+    ep = walk_episode()
+    track = ep.ground_track("+x")
+    assert ep.ground_track("+x") is track
+    assert ep.ground_track("+y") is not track
+    with pytest.raises(ValueError):
+        track[0, 0] = 1.0
+    assert [float.hex(v) for v in track[:, 2]] == \
+        [float.hex(ground_pose(p, q).theta) for p, q in
+         zip(ep.head_pos.tolist(), ep.head_quat.tolist())]
+
+
+class TestActionChunk:
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(InvalidArgumentError):
+            ActionChunk((Pose2(0, 0, 0),), (NAVIGATION, NAVIGATION), 1, 8)
+        chunk = chunk_of([Pose2(0, 0, 0)] * 2, [NAVIGATION] * 2)
+        with pytest.raises(InvalidArgumentError):
+            chunk._replace(phases=(NAVIGATION,))
+        with pytest.raises(InvalidArgumentError):
+            ActionChunk._make(((Pose2(0, 0, 0),), (), 1, 8))
+
+    def test_fields_are_read_only(self):
+        chunk = chunk_of([Pose2(0, 0, 0)] * 2, [NAVIGATION] * 2)
+        for name in ("waypoints", "phases", "horizon", "step", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(chunk, name, None)
+        assert chunk._fields == ("waypoints", "phases", "horizon", "step")
+
+    def test_pickle_round_trip(self):
+        chunk = chunk_of([Pose2(0.5, 0, 1.0)] * 3,
+                         [NAVIGATION, MANIPULATION, NAVIGATION])
+        again = pickle.loads(pickle.dumps(chunk))
+        assert type(again) is ActionChunk and again == chunk
+
+
 def test_subsample_rejects_negative_start_and_zero_step():
     with pytest.raises(InvalidArgumentError):
         subsample(walk_episode(), -1, 5, 8, nav_track())
@@ -237,7 +302,7 @@ def test_upsample_outputs_are_pose2():
 
 def test_upsample_grid_is_read_only():
     grid = chunks._grid(10, 100)
-    for arr in (grid.a, grid.b, grid.r, grid.s):
+    for arr in (grid.index, grid.weights):
         with pytest.raises(ValueError):
             arr[0] = 1
 

@@ -477,8 +477,12 @@ class TestArtifactReaders:
         (lambda obj: obj["config"].update(not_a_knob=1), "not_a_knob"),
         (lambda obj: obj.update(seed="abc"), "abc"),
         (lambda obj: obj.update(labels={"0": 1}), "'labels'"),
+        (lambda obj: obj["gmm"].update(means=[1.0]), "'gmm.means'"),
+        (lambda obj: obj["gmm"].update(weights=[]), "'gmm.weights'"),
+        (lambda obj: obj["gmm"]["covariances"].pop(), "'gmm.covariances'"),
     ], ids=["labels", "config", "seed", "unknown-config-key", "bad-seed",
-            "labels-not-a-list"])
+            "labels-not-a-list", "gmm-means-shape", "gmm-no-components",
+            "gmm-covariances-count"])
     def test_phase_file_malformed(self, workdir, capsys, edit, words):
         run_pipeline(workdir)
         phases = workdir / "art" / "phases.json"

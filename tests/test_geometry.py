@@ -5,9 +5,28 @@ import numpy as np
 import pytest
 
 from egonav.errors import DegenerateOrientationError, InvalidArgumentError
-from egonav.geometry import (Pose2, VelocityCommand, compose,
-                             ground_pose, rollout, step, to_frame, wrap,
+from egonav.geometry import (FORWARD_AXES, Pose2, VelocityCommand, compose,
+                             ground_pose, ground_poses, require_yaw, rollout,
+                             step, to_frame, to_frame_rows, wrap,
                              yaw_quaternion)
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:  # the property tests below are skipped without it
+    st = None
+
+
+def reference_to_frame(reference, target):
+    """``to_frame`` written out for one pose, which the row form must equal."""
+    dx = target.x - reference.x
+    dy = target.y - reference.y
+    c, s = math.cos(reference.theta), math.sin(reference.theta)
+    return Pose2(c * dx + s * dy, -s * dx + c * dy,
+                 wrap(target.theta - reference.theta))
+
+
+def hex_pose(p):
+    return tuple(float.hex(float(c)) for c in p)
 
 
 class TestWrap:
@@ -180,3 +199,82 @@ class TestGroundProjection:
     def test_unknown_axis(self):
         with pytest.raises(InvalidArgumentError):
             ground_pose((0, 0, 0), (1, 0, 0, 0), forward_axis="up")
+
+    def test_ground_poses_marks_degenerate_rows(self):
+        h = 0.5 * (-math.pi / 2)
+        quats = np.array([(1.0, 0.0, 0.0, 0.0), (math.cos(h), 0.0, math.sin(h), 0.0)])
+        poses = ground_poses(np.zeros((2, 3)), quats)
+        assert poses[0].tolist() == [0.0, 0.0, 0.0] and math.isnan(poses[1, 2])
+        require_yaw(poses[:1])
+        with pytest.raises(DegenerateOrientationError):
+            require_yaw(poses)
+
+    def test_ground_poses_unknown_axis(self):
+        with pytest.raises(InvalidArgumentError):
+            ground_poses(np.zeros((1, 3)), np.array([[1.0, 0, 0, 0]]), "up")
+
+    def test_ground_poses_of_no_rows(self):
+        assert ground_poses(np.zeros((0, 3)), np.zeros((0, 4))).shape == (0, 3)
+
+
+def test_to_frame_rows_equals_to_frame_written_out():
+    rng = np.random.default_rng(12)
+    ref = Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
+    rows = [(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
+            for _ in range(200)] + [(0.0, 0.0, -math.pi), (1.0, -1.0, math.pi)]
+    got = to_frame_rows(ref, rows)
+    assert all(type(p) is Pose2 for p in got)
+    assert [hex_pose(p) for p in got] == \
+        [hex_pose(reference_to_frame(ref, Pose2(*r))) for r in rows]
+    assert to_frame(ref, Pose2(*rows[0])) == got[0]
+
+
+if st is not None:
+    # the quarter turns about x and y put one forward axis or another on
+    # gravity, and the identity puts +z there; the half turns about z give
+    # atan2 = -pi for +x, which wraps to pi
+    SPECIAL = [(1.0, 0.0, 0.0, 0.0), yaw_quaternion(-math.pi),
+               yaw_quaternion(math.pi), (1e-300, 0.0, 0.0, -1.0)] + [
+        (math.sqrt(0.5), *(sign * math.sqrt(0.5) * (k == i) for k in range(3)))
+        for i in range(3) for sign in (1.0, -1.0)]
+    unit = st.floats(-1.0, 1.0)
+
+    @st.composite
+    def head_rows(draw):
+        """Positions and quaternions: random, special and near-special rows."""
+        n = draw(st.integers(1, 12))
+        pos, quat = [], []
+        for _ in range(n):
+            pos.append(draw(st.tuples(*[st.floats(-50.0, 50.0)] * 3)))
+            how = draw(st.sampled_from(["random", "special", "nudged"]))
+            if how == "random":
+                q = np.array(draw(st.tuples(unit, unit, unit, unit)))
+                norm = float(np.linalg.norm(q))
+                q = q / norm if norm > 0.1 else np.array([1.0, 0.0, 0.0, 0.0])
+                quat.append(tuple(q.tolist()))
+            else:
+                q = draw(st.sampled_from(SPECIAL))
+                if how == "nudged":  # on either side of the 1e-6 cut
+                    q = tuple(c + draw(st.floats(-1e-6, 1e-6)) for c in q)
+                quat.append(q)
+        return np.array(pos), np.array(quat)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(head_rows(), st.sampled_from(sorted(FORWARD_AXES)))
+    @example((np.zeros((2, 3)), np.array([yaw_quaternion(-math.pi),
+                                          (math.sqrt(0.5), 0.0, -math.sqrt(0.5), 0.0)])),
+             "+x")
+    def test_ground_poses_equal_ground_pose_row_by_row(rows, axis):
+        pos, quat = rows
+        got = ground_poses(pos, quat, axis)
+        assert got.shape == (len(pos), 3)
+        for p, q, row in zip(pos.tolist(), quat.tolist(), got.tolist()):
+            try:
+                want = ground_pose(p, q, axis)
+            except DegenerateOrientationError:
+                assert math.isnan(row[2]) and row[:2] == p[:2]
+            else:
+                assert hex_pose(row) == hex_pose(want)
+else:
+    def test_ground_poses_property_needs_hypothesis():
+        pytest.skip("hypothesis is not installed")

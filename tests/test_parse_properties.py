@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from egonav.errors import ParseError, SchemaError
-from egonav.ingest import (Episode, _check_frame, _is_frame, filter_confidence,
+from egonav.ingest import (Episode, _check_frame, _frame_row, filter_confidence,
                            parse_recording, serialize_recording)
 
 from conftest import episode_of, frame_row
@@ -151,13 +151,16 @@ frame_objects = well_formed_or_broken_frames() | junk
 @given(frame_objects)
 def test_fast_path_accepts_iff_field_walk_does(obj):
     line = json.dumps(obj)
-    fast = "true" not in line and "false" not in line and _is_frame(json.loads(line))
+    row = _frame_row(json.loads(line))
+    fast = "true" not in line and "false" not in line and row is not None
     try:
-        _check_frame(obj, 1)
+        walked_row = _check_frame(obj, 1)
         walked = True
     except ParseError:
         walked = False
     assert fast == walked
+    if fast:  # both read the same row, absent hands as NaN
+        assert np.array_equal(row, walked_row, equal_nan=True)
 
 
 FIRST = '{"t": -1e300, "head": {"p": [0.0, 0.0, 1.6], "q": [1.0, 0.0, 0.0, 0.0]}}'

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +30,49 @@ def reference_log_gauss(points, mean, cov):
     inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
     maha = np.einsum("ni,ij,nj->n", diff, inv, diff)
     return -0.5 * (maha + np.log(det)) - np.log(2.0 * np.pi)
+
+
+def reference_gmm_fit(points, cfg, seed=0):
+    """EM with point-major (n, K) rows and axis=1 reductions, which the
+    component-row ``gmm_fit`` must equal bit for bit."""
+    def log_joint(model):
+        return np.stack([
+            np.log(model.weights[j]) + segmentation._log_gauss(
+                points, model.means[j], model.covariances[j])
+            for j in range(model.k)], axis=1)
+
+    def logsumexp(log_p):
+        m = log_p.max(axis=1)
+        return m + np.log(np.exp(log_p - m[:, None]).sum(axis=1))
+
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    k, n = cfg.k_components, len(points)
+    rng = np.random.default_rng(seed)
+    means = segmentation._kmeanspp_init(points, k, rng)
+    var = points.var(axis=0).sum() / 2.0
+    if var <= 0.0:
+        var = segmentation.COV_FLOOR
+    covs = np.tile(np.eye(2) * var + np.eye(2) * segmentation.COV_FLOOR, (k, 1, 1))
+    model = GmmModel(np.full(k, 1.0 / k), means, covs)
+    history = []
+    for _ in range(segmentation.EM_MAX_ITERS):
+        log_p = log_joint(model)
+        log_norm = logsumexp(log_p)
+        ll = float(log_norm.mean())
+        resp = np.exp(log_p - log_norm[:, None])
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        means = (resp.T @ points) / nk[:, None]
+        covs = np.empty((k, 2, 2))
+        for j in range(k):
+            diff = points - means[j]
+            covs[j] = (resp[:, j, None] * diff).T @ diff / nk[j]
+            covs[j] += np.eye(2) * segmentation.COV_FLOOR
+        model = GmmModel(nk / n, means, covs)
+        if history and ll - history[-1] < segmentation.EM_TOL:
+            history.append(ll)
+            break
+        history.append(ll)
+    return GmmModel(model.weights, model.means, model.covariances, tuple(history))
 
 
 def make_episode(head_xy, hand_pos=None, fps=30.0):
@@ -313,3 +358,73 @@ def test_segment_unchanged_with_einsum_log_gauss(monkeypatch):
     for name in ("weights", "means", "covariances"):
         assert getattr(model, name).tobytes() == getattr(ref_model, name).tobytes()
     assert np.array_equal(track.labels, ref_track.labels)
+
+
+def test_component_sum_equals_numpy_row_sum():
+    rng = np.random.default_rng(21)
+    for k in [*range(1, 41), 127, 128, 129, 136, 300]:
+        for n in (1, 7, 1000):
+            cols = np.exp(rng.normal(0.0, 30.0, (n, k)))
+            cols[rng.random((n, k)) < 0.1] = 0.0  # exp underflow
+            rows = np.ascontiguousarray(cols.T)
+            assert segmentation._component_sum(rows).tobytes() == \
+                cols.sum(axis=1).tobytes(), (k, n)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_gmm_fit_equals_point_major_reference(k):
+    ep, _ = synthesize(two_zone_spec(seed=k))
+    v_head, v_hand = velocities(ep)
+    points = ep.head_pos[candidate_mask(v_head, v_hand, PhaseConfig()), :2]
+    cfg = PhaseConfig(k_components=k)
+    fast = gmm_fit(points, cfg, seed=k)
+    ref = reference_gmm_fit(points, cfg, seed=k)
+    assert len(fast.log_likelihoods) > 1
+    assert fast.log_likelihoods == ref.log_likelihoods
+    for name in ("weights", "means", "covariances"):
+        assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes()
+    assert responsibilities(fast, points).flags.c_contiguous
+
+
+def test_responsibilities_and_pdf_equal_point_major_forms():
+    rng = np.random.default_rng(4)
+    points = rng.normal(0.0, 2.0, (500, 2))
+    model = gmm_fit(points, PhaseConfig(k_components=9), seed=2)
+    log_p = np.stack([np.log(model.weights[j]) + segmentation._log_gauss(
+        points, model.means[j], model.covariances[j]) for j in range(model.k)], axis=1)
+    m = log_p.max(axis=1)
+    log_norm = m + np.log(np.exp(log_p - m[:, None]).sum(axis=1))
+    assert responsibilities(model, points).tobytes() == \
+        np.exp(log_p - log_norm[:, None]).tobytes()
+    assert gmm_pdf(model, points).tobytes() == np.exp(log_norm).tobytes()
+
+
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("gmm, field", [
+    ({"weights": [1.0], "means": [1.0], "covariances": [EYE]}, "gmm.means"),
+    ({"weights": [], "means": [], "covariances": []}, "gmm.weights"),
+    ({"weights": [[1.0]], "means": [[0.0, 0.0]], "covariances": [EYE]}, "gmm.weights"),
+    ({"weights": [0.5, 0.5], "means": [[0.0, 0.0]], "covariances": [EYE]}, "gmm.means"),
+    ({"weights": [1.0], "means": [[0.0, 0.0]], "covariances": EYE}, "gmm.covariances"),
+    ({"weights": [1.0], "means": [[0.0, "x"]], "covariances": [EYE]}, "gmm.means"),
+    ({"weights": [True], "means": [[0.0, 0.0]], "covariances": [EYE]}, "gmm.weights"),
+    ({"weights": [1.0], "means": [[0.0, 0.0]],
+      "covariances": [[[1.0, 0.0], [0.0, float("inf")]]]}, "gmm.covariances"),
+    ({"weights": [1.0], "means": [[0.0, 0.0], [1.0]], "covariances": [EYE]}, "gmm.means"),
+    ({"weights": [1.0], "means": [[0.0, 0.0]]}, "gmm.covariances"),
+    ([1.0], "'gmm'"),
+])
+def test_read_phase_file_checks_the_model(tmp_path, gmm, field):
+    ep, _ = synthesize(two_zone_spec(seed=1))
+    cfg = PhaseConfig()
+    track, model = segment(ep, cfg, seed=1)
+    path = tmp_path / "phases.json"
+    write_phase_file(path, track, model, cfg, seed=1)
+    obj = json.loads(path.read_text())
+    obj["gmm"] = gmm
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvalidArgumentError, match=re.escape(field)) as exc:
+        read_phase_file(path)
+    assert str(path) in str(exc.value)
