@@ -5,12 +5,17 @@ a stable contract: 0 success, 2 input/validation error, 3 no
 manipulation zones found, 4 solver numerical failure.
 
 When several recordings are given to one segment or retarget call, they
-run on up to one thread per core.
+run on up to one thread per core. ``retarget`` records in its command
+file the digest of the recording and the waypoints it solved for, so
+``simulate`` replays from the command file alone: it hashes the recording
+it is given to check that it is that one, and does not parse it. Its
+``--config`` is loaded and checked, but it reads no key of it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -34,9 +39,9 @@ def _load_episode(path, cfg) -> ingest.Episode:
         return ingest.parse_recording(fh, fps=cfg.ingest.fps)
 
 
-def _waypoint_track(path, cfg) -> ingest.WaypointTrack:
-    return ingest.extract_waypoints(_load_episode(path, cfg), cfg.ingest.d_thresh,
-                                    forward_axis=cfg.ingest.forward_axis)
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _out_paths(out: Path, recordings, suffix: str) -> list[Path]:
@@ -100,21 +105,29 @@ def cmd_retarget(args, cfg) -> int:
     outs = _out_paths(Path(args.out), args.recording, ".commands.txt")
 
     def run(path, out):
-        track = _waypoint_track(path, cfg)
+        track = ingest.extract_waypoints(_load_episode(path, cfg), cfg.ingest.d_thresh,
+                                         forward_axis=cfg.ingest.forward_axis)
         if len(track.waypoints) < 2:
             solutions = []  # stationary recording: nothing to command
         else:
             solutions = retarget.retarget_track(track, cfg.retarget)
-        retarget.write_command_file(out, solutions, cfg.retarget)
+        walk = retarget.WalkRecord(_sha256(path), tuple(p for _, p in track.waypoints))
+        retarget.write_command_file(out, solutions, cfg.retarget, walk)
 
     _for_each(run, args.recording, outs)
     return EXIT_OK
 
 
 def cmd_simulate(args, cfg) -> int:
-    solutions, objective = retarget.read_command_file(args.commands)
-    poses = [p for _, p in _waypoint_track(args.recording, cfg).waypoints]
-    result = simulator.simulate(poses[0], solutions, poses[1:], objective)
+    solutions, objective, walk = retarget.read_replay(args.commands)
+    digest = _sha256(args.recording)
+    if digest != walk.recording_sha256:
+        raise InvalidArgumentError(
+            f"recording {args.recording} has sha256 {digest}, but command file "
+            f"{args.commands} was solved for {walk.recording_sha256}; "
+            "re-run retarget on this recording")
+    result = simulator.simulate(walk.waypoints[0], solutions, walk.waypoints[1:],
+                                objective)
     simulator.write_sim_file(args.out, result)
     return EXIT_OK
 

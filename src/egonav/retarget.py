@@ -17,14 +17,22 @@ at the optimum, where Gauss-Newton alone converges only linearly.
 ``iterations`` counts solver steps of either kind. A start has
 *converged* once ||z - P(z - g)|| <= grad_tol * (``STOP_FLOOR`` + f), with P
 the clip to the bounds, g the gradient and f the cost; every iterate is
-tested, the last one ``max_iters`` allows too. A brute-force grid enumerator
-with its own batched rollout is an independent oracle for small
-instances.
+tested, the last one ``max_iters`` allows too. The arc search rolls its
+trial points out without J and builds J only for the point it accepts,
+from that rollout's own cos, sin and running sums. A brute-force grid
+enumerator with its own batched rollout is an independent oracle for
+small instances.
+
+A command file holds the solutions, the objective they were solved under
+and the :class:`WalkRecord` they were solved for (the recording's digest
+and its waypoints), which is all a replay reads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -40,7 +48,7 @@ NEWTON_SWITCH = 0.2
 # the stop test scales grad_tol by the cost plus this floor: 1 let windows costing
 # ~1e-6 stop 1e-9 relative above their optimum; 3e-3 leaves some unconverged
 STOP_FLOOR = 0.1
-# the RetargetConfig fields a command file records: all that a replay reads
+# the RetargetConfig fields a command file records: all of them a replay reads
 OBJECTIVE = ("dt", "lambda_pos", "lambda_yaw", "lambda_smooth",
              "v_min", "v_max", "omega_min", "omega_max")
 
@@ -115,6 +123,26 @@ class WindowRollout(NamedTuple):
         return [Pose2(x, y, wrap(th)) for x, y, th in zip(*self.states.tolist())]
 
 
+@functools.lru_cache(maxsize=32)
+def _blocks(K: int, dt: float, lambda_pos: float, lambda_yaw: float,
+            lambda_smooth: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only arrays every window of one size and objective shares.
+
+    They are the (5, 1) square roots of the residual blocks' weights, the
+    (K, K) lower-triangular ones (command j moves every pose k >= j) and
+    the (5K, K, 2) Jacobian with its constant yaw and smoothness blocks.
+    """
+    sp, sy, ss = math.sqrt(lambda_pos), math.sqrt(lambda_yaw), math.sqrt(lambda_smooth)
+    low = np.tril(np.ones((K, K)))
+    jac = np.zeros((5 * K, K, 2))
+    jac[2 * K:3 * K, :, 1] = sy * dt * low
+    jac[3 * K:4 * K, :, 0] = jac[4 * K:, :, 1] = ss * (np.eye(K) - np.eye(K, k=-1))
+    blocks = np.array([sp, sp, sy, ss, ss])[:, None], low, jac
+    for a in blocks:
+        a.flags.writeable = False
+    return blocks
+
+
 class _Window:
     """One problem's rollout with its waypoint arrays and constant Jacobian blocks."""
 
@@ -124,17 +152,12 @@ class _Window:
         self.start = (prob.start.x, prob.start.y, prob.start.theta)
         self.prev = (prob.prev_cmd.v, prob.prev_cmd.omega)
         self.desired = np.array([(d.x, d.y, d.theta) for d in prob.desired]).T
-        self.sp, sy, ss = (math.sqrt(cfg.lambda_pos), math.sqrt(cfg.lambda_yaw),
-                           math.sqrt(cfg.lambda_smooth))
-        self.weights = np.array([self.sp, self.sp, sy, ss, ss])[:, None]
-        # command j moves every pose k >= j
-        self.low = np.tril(np.ones((K, K)))
-        self.jac = np.zeros((5 * K, K, 2))  # its yaw and smoothness blocks are constant
-        self.jac[2 * K:3 * K, :, 1] = sy * cfg.dt * self.low
-        self.jac[3 * K:4 * K, :, 0] = self.jac[4 * K:, :, 1] = ss * (
-            np.eye(K) - np.eye(K, k=-1))
+        self.sp = math.sqrt(cfg.lambda_pos)
+        self.weights, self.low, self.jac = _blocks(
+            K, cfg.dt, cfg.lambda_pos, cfg.lambda_yaw, cfg.lambda_smooth)
 
-    def __call__(self, z, jacobian: bool = False) -> WindowRollout:
+    def rollout(self, z) -> tuple[WindowRollout, tuple]:
+        """The rollout of ``z`` without J, and the cos, sin and sums J is built from."""
         K, dt = self.K, self.dt
         z = np.asarray(z, dtype=float).reshape(-1, 2)
         if len(z) != K:
@@ -153,9 +176,12 @@ class _Window:
         r[3:, 0] = z[0] - self.prev
         np.subtract(z[1:].T, z[:-1].T, out=r[3:, 1:])
         r *= self.weights
-        r = r.ravel()
-        if not jacobian:
-            return WindowRollout(states, r, None)
+        return WindowRollout(states, r.ravel(), None), (cos, sin, cx, sy)
+
+    def jacobian(self, parts: tuple) -> np.ndarray:
+        """J at the point whose :meth:`rollout` returned ``parts``."""
+        K, dt = self.K, self.dt
+        cos, sin, cx, sy = parts
         # d x_k / d omega_j = -dt^2 (sy_k - sy_j) for j <= k, and
         # d y_k / d omega_j = dt^2 (cx_k - cx_j)
         f = self.sp * dt
@@ -164,7 +190,11 @@ class _Window:
         J[:K, :, 1] = -f * dt * (sy[:, None] - sy) * self.low
         J[K:2 * K, :, 0] = f * sin * self.low
         J[K:2 * K, :, 1] = f * dt * (cx[:, None] - cx) * self.low
-        return WindowRollout(states, r, J.reshape(5 * K, 2 * K))
+        return J.reshape(5 * K, 2 * K)
+
+    def __call__(self, z, jacobian: bool = False) -> WindowRollout:
+        ro, parts = self.rollout(z)
+        return ro._replace(J=self.jacobian(parts)) if jacobian else ro
 
     def curvature(self, z, ro: WindowRollout) -> np.ndarray:
         """S = sum_i r_i Hess(r_i) at ``z``: the cost's Hessian is 2 (J^T J + S).
@@ -229,10 +259,12 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     last accepted step cut the cost by less than ``NEWTON_SWITCH`` and
     that free block is positive definite. The arc P(z + a d) is searched
     by halving a from the last accepted step, doubled if that one passed
-    at once (infeasible windows overshoot steadily). Returns (z, f,
+    at once (infeasible windows overshoot steadily). Trial points are
+    rolled out without J, which only the accepted one gets. Returns (z, f,
     iterations, converged).
     """
-    ro = model(z, jacobian=True)
+    ro, parts = model.rollout(z)
+    J = model.jacobian(parts)
     f = float(ro.r @ ro.r)
     if not math.isfinite(f):
         raise NumericalFailureError("initial cost is not finite",
@@ -241,7 +273,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     a = 1.0
     stalled = False
     while True:
-        g = 2.0 * (ro.r @ ro.J)
+        g = 2.0 * (ro.r @ J)
         pg = z - np.clip(z - g, lo, hi)
         pg_norm = math.sqrt(float(pg @ pg))
         if pg_norm <= cfg.grad_tol * (STOP_FLOOR + f):
@@ -250,7 +282,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             return z, f, iters, False
         eps = min(1e-3, pg_norm)
         free = ~(((z <= lo + eps) & (g > 0)) | ((z >= hi - eps) & (g < 0)))
-        H = 2.0 * (ro.J.T @ ro.J)
+        H = 2.0 * (J.T @ J)
         diag = H.diagonal() + 1e-12 * (1.0 + H.diagonal().max())
         coupled = np.outer(free, free)
         H *= coupled  # decouple the active variables ...
@@ -269,7 +301,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         trial = a
         while True:
             z_new = np.clip(z + a * d, lo, hi)
-            ro_new = model(z_new, jacobian=True)
+            ro_new, parts = model.rollout(z_new)
             f_new = float(ro_new.r @ ro_new.r)
             if not math.isfinite(f_new):
                 raise NumericalFailureError("cost became non-finite during the arc "
@@ -283,6 +315,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             a = min(1.0, 2.0 * a)
         stalled = f_new > (1.0 - NEWTON_SWITCH) * f
         z, f, ro = z_new, f_new, ro_new
+        J = model.jacobian(parts)
         iters += 1
 
 
@@ -387,17 +420,34 @@ def retarget_track(track: WaypointTrack, cfg: RetargetConfig) -> list[RetargetSo
     return [sol for sol, _ in chain]
 
 
+class WalkRecord(NamedTuple):
+    """The walk a command file's commands were solved for: all a replay needs of it."""
+
+    recording_sha256: str         # hex SHA-256 of the recording file's bytes
+    waypoints: tuple[Pose2, ...]  # the start pose, then each desired waypoint
+
+
 def write_command_file(path, solutions: Sequence[RetargetSolution],
-                       cfg: RetargetConfig) -> None:
+                       cfg: RetargetConfig, walk: WalkRecord) -> None:
     """Plain-text command table: one (window, v, omega) row per command.
 
-    One '#!' header row records the ``OBJECTIVE`` values of ``cfg`` the
-    commands were solved under, and '#! window=' rows each window's cost
-    breakdown, so the file round-trips through :func:`read_command_file`.
+    '#!' rows record the ``OBJECTIVE`` values of ``cfg`` the commands were
+    solved under, the ``walk`` they were solved for (its recording digest
+    and one '#! waypoint=' row per waypoint) and, in '#! window=' rows,
+    each window's cost breakdown, so the file round-trips through
+    :func:`read_replay`. A walk that does not have one waypoint more than
+    there are commands raises :class:`InvalidArgumentError`.
     """
+    n_cmds = sum(len(sol.cmds) for sol in solutions)
+    if len(walk.waypoints) != n_cmds + 1:
+        raise InvalidArgumentError(
+            f"waypoint count {len(walk.waypoints)} is not command count {n_cmds} + 1")
     with open(path, "w") as fh:
         objective = " ".join(f"{k}={getattr(cfg, k)!r}" for k in OBJECTIVE)
-        fh.write(f"# window v omega\n#! {objective}\n")
+        fh.write(f"# window v omega\n#! {objective}\n"
+                 f"#! recording_sha256={walk.recording_sha256}\n")
+        for i, p in enumerate(walk.waypoints):
+            fh.write(f"#! waypoint={i} x={p.x!r} y={p.y!r} theta={p.theta!r}\n")
         for i, sol in enumerate(solutions):
             fh.write(
                 f"#! window={i} cost_total={sol.cost_total!r} "
@@ -417,18 +467,21 @@ def _number(raw: str) -> float:
     return x
 
 
-def read_command_file(path) -> tuple[list[RetargetSolution], RetargetConfig]:
-    """Rebuild the solutions and the objective they were solved under.
+def _index(fields: dict, key: str, expected: int) -> None:
+    """Check that the row's ``key`` number is the next one, ``expected``."""
+    if int(fields[key]) != expected:
+        raise InvalidArgumentError(
+            f"'{key}={fields[key]}' where {key}={expected} comes next: "
+            f"a {key} number repeated or skipped")
 
-    The objective is a :class:`RetargetConfig` of the header's ``OBJECTIVE``
-    values; its solver fields keep their defaults. A malformed row or '#!'
-    token, a value that is not a finite number, a missing, second or late
-    header, a command outside the header's bounds, or a window without a
-    '#! window=' record raises :class:`InvalidArgumentError`.
-    """
-    metas: dict[int, tuple] = {}
-    cmds: dict[int, list[VelocityCommand]] = {}
-    cfg = None
+
+def _read(path) -> tuple[list[RetargetSolution], RetargetConfig, Optional[WalkRecord]]:
+    """The solutions, the objective and the walk record, None if the file has none."""
+    metas: list[tuple] = []
+    cmds: list[list[VelocityCommand]] = []
+    waypoints: list[Pose2] = []
+    cfg = digest = None
+    record_line = 0  # the last digest or waypoint row
     rerun = "; re-run retarget to write it"
     with open(path) as fh:
         for n, line in enumerate(fh, start=1):
@@ -437,10 +490,24 @@ def read_command_file(path) -> tuple[list[RetargetSolution], RetargetConfig]:
                 if line.startswith("#!"):
                     fields = dict(kv.split("=") for kv in line[2:].split())
                     if "window" in fields:
-                        metas[int(fields["window"])] = (
+                        _index(fields, "window", len(metas))
+                        metas.append((
                             *(_number(fields[k]) for k in (
                                 "cost_total", "cost_pos", "cost_yaw", "cost_smooth")),
-                            int(fields["iterations"]), bool(int(fields["converged"])))
+                            int(fields["iterations"]), bool(int(fields["converged"]))))
+                        cmds.append([])
+                    elif "waypoint" in fields:
+                        _index(fields, "waypoint", len(waypoints))
+                        waypoints.append(Pose2(*(_number(fields[k])
+                                                 for k in ("x", "y", "theta"))))
+                        record_line = n
+                    elif fields.keys() == {"recording_sha256"}:
+                        if digest is not None:
+                            raise InvalidArgumentError("second recording_sha256 row")
+                        digest = fields["recording_sha256"]
+                        if not re.fullmatch("[0-9a-f]{64}", digest):
+                            raise ValueError(f"{digest!r} is not a SHA-256 digest")
+                        record_line = n
                     elif cfg is None and fields.keys() == set(OBJECTIVE):
                         cfg = RetargetConfig(**{k: _number(x) for k, x in fields.items()})
                     else:
@@ -457,16 +524,59 @@ def read_command_file(path) -> tuple[list[RetargetSolution], RetargetConfig]:
                             and cfg.omega_min <= c.omega <= cfg.omega_max):
                         raise InvalidArgumentError(
                             f"command ({v}, {omega}) outside the objective's bounds")
-                    cmds.setdefault(int(w), []).append(c)
+                    if not metas or int(w) != len(metas) - 1:
+                        raise InvalidArgumentError(
+                            f"a command of window {w} must follow the "
+                            f"'#! window={w}' record and precede the next one")
+                    cmds[-1].append(c)
             except InvalidArgumentError as exc:
                 raise InvalidArgumentError(f"{where}: {exc}") from None
             except (KeyError, ValueError):
                 raise InvalidArgumentError(f"{where}: malformed row {line!r}") from None
     if cfg is None:
         raise InvalidArgumentError(f"command file {path} has no objective row{rerun}")
-    missing = sorted(cmds.keys() - metas.keys())
-    if missing:
+    if not all(cmds):
         raise InvalidArgumentError(
-            f"command file {path}: window {missing[0]} has no "
-            f"'#! window={missing[0]}' record")
-    return [RetargetSolution(tuple(cmds[w]), *metas[w]) for w in sorted(cmds)], cfg
+            f"command file {path}: window {cmds.index([])} has no commands")
+    walk = None
+    if digest is not None or waypoints:
+        n_cmds = sum(map(len, cmds))
+        if digest is None:
+            raise InvalidArgumentError(
+                f"command file {path}: waypoint rows without a recording_sha256 row{rerun}")
+        if len(waypoints) != n_cmds + 1:
+            raise InvalidArgumentError(
+                f"command file {path} line {record_line}: waypoint count "
+                f"{len(waypoints)} is not command count {n_cmds} + 1")
+        walk = WalkRecord(digest, tuple(waypoints))
+    return [RetargetSolution(tuple(c), *m) for c, m in zip(cmds, metas)], cfg, walk
+
+
+def read_command_file(path) -> tuple[list[RetargetSolution], RetargetConfig]:
+    """Rebuild the solutions and the objective they were solved under.
+
+    The objective is a :class:`RetargetConfig` of the header's ``OBJECTIVE``
+    values; its solver fields keep their defaults. A malformed row or '#!'
+    token, a value that is not a finite number, a missing, second or late
+    header, a command outside the header's bounds, a window or waypoint
+    number repeated or skipped, a command not under its window's '#!
+    window=' record, a window without commands, a second recording digest
+    or a walk record whose waypoints are not one more than the commands
+    raises :class:`InvalidArgumentError`. The walk record may be absent.
+    """
+    solutions, cfg, _ = _read(path)
+    return solutions, cfg
+
+
+def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecord]:
+    """:func:`read_command_file` plus the walk record, which must be there.
+
+    A file without it, such as one written before the record existed,
+    raises :class:`InvalidArgumentError` asking for retarget to be re-run.
+    """
+    solutions, cfg, walk = _read(path)
+    if walk is None:
+        raise InvalidArgumentError(
+            f"command file {path} has no recording_sha256 or waypoint rows; "
+            "re-run retarget to write them")
+    return solutions, cfg, walk

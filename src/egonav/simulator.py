@@ -25,6 +25,8 @@ from .segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 HAND_FREQ = 2.0        # Hz, manipulation hand oscillation
 HAND_OFFSET = 0.4      # m, hand circle center in front of the head
 DEFAULT_AMPLITUDE = 0.3
+OUT_OF_RANGE = ("the replay's scores are not all finite: the objective or the "
+                "commands are out of float range")
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,9 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
     The windows of ``solutions`` are chained as in ``retarget_track`` and
     rolled out under ``cfg``, the objective the command file records: its
     ``dt`` and weights. Each window's recomputed cost is compared with the
-    solver's. No windows give an empty rollout with zero errors.
+    solver's. No windows give an empty rollout with zero errors. A replay
+    that overflows, such as under a ``dt`` of 1e308, raises
+    :class:`InvalidArgumentError` instead of scoring infinities.
     """
     n_cmds = sum(len(sol.cmds) for sol in solutions)
     if n_cmds != len(desired):
@@ -92,17 +96,20 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
     poses: list[Pose2] = []
     parts = np.zeros(3)  # pos, yaw, smooth
     reported = discrepancy = 0.0
-    for sol, ro in chain:
-        total, *terms = ro.costs()
-        parts += terms
-        reported += sol.cost_total
-        discrepancy = max(discrepancy, abs(total - sol.cost_total))
-        poses.extend(ro.poses())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for sol, ro in chain:
+            total, *terms = ro.costs()
+            if not math.isfinite(total):  # before the poses wrap an infinite heading
+                raise InvalidArgumentError(OUT_OF_RANGE)
+            parts += terms
+            reported += sol.cost_total
+            discrepancy = max(discrepancy, abs(total - sol.cost_total))
+            poses.extend(ro.poses())
 
     errs = [math.hypot(p.x - d.x, p.y - d.y) for p, d in zip(poses, desired)]
     yaw_errs = [wrap(p.theta - d.theta) for p, d in zip(poses, desired)]
     n = max(len(errs), 1)
-    return SimResult(
+    result = SimResult(
         poses=tuple(poses),
         desired=tuple(desired),
         pos_rmse=math.sqrt(sum(e * e for e in errs) / n),
@@ -112,6 +119,11 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
         reported_cost=reported,
         cost_discrepancy=discrepancy,
     )
+    scores = (result.pos_rmse, result.pos_max, result.yaw_rmse, *result.cost_breakdown,
+              result.reported_cost, result.cost_discrepancy)
+    if not all(map(math.isfinite, scores)):
+        raise InvalidArgumentError(OUT_OF_RANGE)
+    return result
 
 
 def synthesize(spec: SynthSpec) -> tuple[Episode, PhaseTrack]:

@@ -6,12 +6,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from egonav import cli, report
+from egonav import cli, ingest, report
 from egonav.cli import main
 from egonav.config import load_config
 from egonav.geometry import Pose2
 from egonav.ingest import extract_waypoints, parse_recording
-from egonav.retarget import read_command_file
+from egonav.retarget import read_command_file, read_replay
 from egonav.simulator import read_sim_file
 
 E2E_SPEC = {
@@ -235,6 +235,54 @@ class TestPipeline:
                      "--out", str(art / "sim.json")]) == 0
         assert read_sim_file(art / "sim.json")["cost_discrepancy"] == 0.0
 
+    @pytest.mark.parametrize("solve_cfg, replay_cfg", [
+        (E2E_CFG + "ingest.forward_axis = +y\n", E2E_CFG),
+        (E2E_CFG, "ingest.fps = 50.0\n"),  # the default d_thresh of 0.25
+    ], ids=["forward_axis", "d_thresh"])
+    def test_simulate_replays_the_waypoints_retarget_solved_for(
+            self, workdir, solve_cfg, replay_cfg):
+        # simulate under other ingest keys than retarget's: it replays the
+        # waypoints the command file records, not ones it extracts again
+        art = workdir / "art"
+        assert main(["synth", str(workdir / "spec.json"), "--out", str(art)]) == 0
+        (workdir / "solve.txt").write_text(solve_cfg)
+        (workdir / "replay.txt").write_text(replay_cfg)
+        rec, cmds = str(art / "recording.jsonl"), art / "commands.txt"
+        assert main(["retarget", rec, "--out", str(cmds),
+                     "--config", str(workdir / "solve.txt")]) == 0
+        assert main(["simulate", str(cmds), rec, "--out", str(art / "sim.json"),
+                     "--config", str(workdir / "replay.txt")]) == 0
+        sim = read_sim_file(art / "sim.json")
+        assert sim["cost_discrepancy"] == 0.0
+        assert sim["desired"] == [list(p) for p in read_replay(cmds)[2].waypoints[1:]]
+
+    def test_simulate_of_another_recording_is_input_error(self, workdir, capsys):
+        (workdir / "other").mkdir()
+        art, other = workdir / "art", straight_walk(workdir / "other")
+        assert main(["synth", str(workdir / "spec.json"), "--out", str(art)]) == 0
+        cmds = art / "commands.txt"
+        assert main(["retarget", str(art / "recording.jsonl"), "--out", str(cmds)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", str(cmds), str(other / "recording.jsonl"),
+                     "--out", str(art / "sim.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(cmds) in err and str(other / "recording.jsonl") in err
+        assert "re-run retarget" in err and not (art / "sim.json").exists()
+
+    def test_a_walk_pass_parses_each_recording_twice(self, workdir, monkeypatch):
+        # segment and retarget parse the recording; simulate replays the
+        # waypoints that the command file records, and report reads no recording
+        calls = []
+        parse = ingest.parse_recording
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "parse_recording", counted)
+        art = run_pipeline(workdir)
+        assert calls == [str(art / "recording.jsonl")] * 2
+
     @pytest.mark.parametrize("v", ["1e308", "5.0"])
     def test_command_outside_the_bounds_is_input_error(self, tmp_path, capsys, v):
         art = straight_walk(tmp_path)
@@ -252,6 +300,23 @@ class TestPipeline:
                          "--out", str(art / "sim.json")]) == 2
         err = capsys.readouterr().err
         assert f"{cmds} line {n + 1}:" in err and "outside" in err
+        assert not (art / "sim.json").exists()
+
+    @pytest.mark.parametrize("old, new", [("dt=0.16", "dt=1e308"),
+                                          ("lambda_pos=32.0", "lambda_pos=1e308")],
+                             ids=["dt", "lambda_pos"])
+    def test_replay_that_overflows_is_input_error(self, workdir, capsys, old, new):
+        art = workdir / "art"
+        assert main(["synth", str(workdir / "spec.json"), "--out", str(art)]) == 0
+        rec, cmds = str(art / "recording.jsonl"), art / "commands.txt"
+        assert main(["retarget", rec, "--out", str(cmds)]) == 0
+        cmds.write_text(cmds.read_text().replace(old, new))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(cmds), rec,
+                         "--out", str(art / "sim.json")]) == 2
+        assert "not all finite" in capsys.readouterr().err
         assert not (art / "sim.json").exists()
 
     def test_end_to_end_tracks_waypoints(self, workdir):

@@ -1,7 +1,11 @@
 """Property tests for the window chain, the run finder, the command file,
-the pose algebra and the config parser (skipped without hypothesis)."""
+the pose algebra and the config parser, and fuzzers of simulate's
+command-file input (skipped without hypothesis)."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -11,12 +15,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from egonav.cli import main
 from egonav.config import PipelineConfig, effective_parameters, parse_config
 from egonav.errors import ConfigError
 from egonav.geometry import Pose2, VelocityCommand, compose, to_frame, wrap
 from egonav.ingest import WaypointTrack
-from egonav.retarget import (RetargetConfig, RetargetSolution, read_command_file,
-                             retarget_track, write_command_file)
+from egonav.retarget import (RetargetConfig, RetargetSolution, WalkRecord,
+                             read_command_file, read_replay, retarget_track,
+                             write_command_file)
 from egonav.segmentation import (MANIPULATION, NAVIGATION, GmmModel,
                                  PhaseConfig, PhaseTrack, candidate_mask,
                                  read_phase_file, runs, write_phase_file)
@@ -69,7 +75,7 @@ def test_simulate_replays_retarget_track_exactly(tmp_path_factory, chained,
     assert [len(s.cmds) for s in sols[:-1]] == [window] * (len(sols) - 1)
     # the replay reads the objective from the command file alone
     path = tmp_path_factory.mktemp("cmds") / "commands.txt"
-    write_command_file(path, sols, cfg)
+    write_command_file(path, sols, cfg, WalkRecord("0" * 64, tuple(waypoints)))
     back, recorded = read_command_file(path)
     assert recorded == objective
     res = simulate(waypoints[0], back, waypoints[1:], recorded)
@@ -117,26 +123,31 @@ def test_candidate_mask_matches_naive_reference(speeds, tau_duration):
 
 @st.composite
 def command_files(draw):
-    """An objective and up to 4 solutions whose commands lie inside its bounds."""
+    """An objective, up to 4 solutions whose commands lie inside its bounds,
+    and a walk record of arbitrary finite waypoints, one more than the commands."""
     cfg = draw(objectives())
     cmd = st.builds(VelocityCommand, st.floats(cfg.v_min, cfg.v_max),
                     st.floats(cfg.omega_min, cfg.omega_max))
     solution = st.builds(
         RetargetSolution, st.lists(cmd, min_size=1, max_size=4).map(tuple),
         finite, finite, finite, finite, st.integers(0, 10**6), st.booleans())
-    return cfg, draw(st.lists(solution, max_size=4))
+    sols = draw(st.lists(solution, max_size=4))
+    n = sum(len(sol.cmds) for sol in sols) + 1
+    waypoints = st.lists(st.builds(Pose2, finite, finite, finite), min_size=n, max_size=n)
+    digest = st.text("0123456789abcdef", min_size=64, max_size=64)
+    return cfg, sols, draw(st.builds(WalkRecord, digest, waypoints.map(tuple)))
 
 
 @PROPERTY
 @given(command_files())
 def test_command_file_round_trips_bit_exactly(tmp_path_factory, drawn):
-    cfg, sols = drawn
+    cfg, sols, walk = drawn
     path = tmp_path_factory.mktemp("cmds") / "commands.txt"
-    write_command_file(path, sols, cfg)
+    write_command_file(path, sols, cfg, walk)
     back, back_cfg = read_command_file(path)
     assert back == sols and back_cfg == cfg
     text = path.read_bytes()
-    write_command_file(path, back, back_cfg)
+    write_command_file(path, back, back_cfg, read_replay(path)[2])
     assert path.read_bytes() == text  # repr-equal floats are bit-equal, -0.0 too
 
 
@@ -201,3 +212,77 @@ def test_config_value_is_accepted_or_a_config_error(key, token):
         return
     values = effective_parameters(cfg).values()
     assert all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
+@pytest.fixture(scope="module")
+def replay_inputs(tmp_path_factory):
+    """A two-window walk's recording and the rows of its command file."""
+    d = tmp_path_factory.mktemp("replay")
+    (d / "spec.json").write_text(json.dumps({"segments": [
+        {"kind": "straight", "duration": 2.0},
+        {"kind": "arc", "duration": 1.0, "turn_rate": 0.8}], "fps": 30.0}))
+    assert main(["synth", str(d / "spec.json"), "--out", str(d)]) == 0
+    rec, cmds = d / "recording.jsonl", d / "commands.txt"
+    assert main(["retarget", str(rec), "--out", str(cmds)]) == 0
+    assert sum(row.startswith("#! window=") for row in cmds.read_text().splitlines()) == 2
+    return rec, cmds.read_text().splitlines()
+
+
+def simulate_exit(rec, content) -> tuple[int, str]:
+    """Exit code and stderr of ``simulate`` on a command file of ``content``."""
+    path = rec.parent / "fuzzed.commands.txt"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", str(path), str(rec),
+                     "--out", str(rec.parent / "sim.json")])
+    return code, err.getvalue()
+
+
+# tokens near the edges of what a command file row accepts
+TOKENS = (st.sampled_from(["", "0", "1", "-1", "5", "-0.0", "nan", "inf", "1e308",
+                           "True", "=", "#!", "window=0", "waypoint=0", "x=nan",
+                           "recording_sha256=" + "0" * 64])
+          | st.text(max_size=8) | st.integers().map(str) | st.floats().map(repr))
+
+
+@st.composite
+def mutated_rows(draw, rows):
+    """``rows`` after one to three drops, duplicates, swaps or token edits."""
+    rows = list(rows)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "edit"]))
+        if op == "drop" and len(rows) > 1:
+            del rows[i]
+        elif op == "duplicate":
+            rows.insert(i, rows[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            tokens = rows[i].split(" ")
+            k = draw(st.integers(0, len(tokens) - 1))
+            key = tokens[k].partition("=")[0]
+            tokens[k] = draw(TOKENS | TOKENS.map(lambda t: f"{key}={t}"))
+            rows[i] = " ".join(tokens)
+    return "\n".join(rows) + "\n"
+
+
+@PROPERTY
+@given(st.data())
+def test_simulate_of_a_mutated_command_file_exits_0_or_2(replay_inputs, data):
+    rec, rows = replay_inputs
+    assert simulate_exit(rec, "\n".join(rows) + "\n") == (0, "")
+    code, err = simulate_exit(rec, data.draw(mutated_rows(rows)))
+    assert code in (0, 2) and "Traceback" not in err
+
+
+@PROPERTY
+@given(st.text() | st.binary())
+def test_simulate_of_arbitrary_input_exits_2(replay_inputs, content):
+    code, err = simulate_exit(replay_inputs[0], content)
+    assert code == 2 and "Traceback" not in err

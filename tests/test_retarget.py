@@ -9,9 +9,9 @@ from egonav.cli import main
 from egonav.errors import InvalidArgumentError
 from egonav.geometry import Pose2, VelocityCommand, rollout, wrap
 from egonav.ingest import WaypointTrack, extract_waypoints, serialize_recording
-from egonav.retarget import (OBJECTIVE, RetargetConfig, RetargetProblem, _Window,
-                             brute_force, cost, gradient, read_command_file,
-                             retarget_track, solve, window_rollout,
+from egonav.retarget import (OBJECTIVE, RetargetConfig, RetargetProblem, WalkRecord,
+                             _Window, brute_force, cost, gradient, read_command_file,
+                             read_replay, retarget_track, solve, window_rollout,
                              write_command_file)
 from egonav.simulator import simulate, spec_from_json, synthesize
 
@@ -121,6 +121,16 @@ class TestCost:
         prob = RetargetProblem(Pose2(0, 0, 0), (Pose2(1, 0, 0),), CFG)
         with pytest.raises(InvalidArgumentError):
             cost(np.zeros((2, 2)), prob)
+
+
+def test_windows_share_read_only_constant_blocks():
+    rng = np.random.default_rng(4)
+    a, b = _Window(random_problem(rng, 4)), _Window(random_problem(rng, 4))
+    assert a.weights is b.weights and a.low is b.low and a.jac is b.jac
+    assert not any(x.flags.writeable for x in (a.weights, a.low, a.jac))
+    ro = a(np.zeros(8), jacobian=True)
+    assert ro.J.flags.writeable and not np.shares_memory(ro.J, a.jac)
+    assert _Window(random_problem(rng, 3)).jac.shape == (15, 3, 2)
 
 
 class TestGradient:
@@ -429,7 +439,7 @@ def test_command_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     sols = [solve(random_problem(rng, 3)) for _ in range(2)]
     path = tmp_path / "commands.txt"
-    write_command_file(path, sols, CFG)
+    write_command_file(path, sols, CFG, WalkRecord("0" * 64, (Pose2(0, 0, 0),) * 7))
     back, cfg = read_command_file(path)
     assert cfg == CFG
     assert [s.cmds for s in back] == [s.cmds for s in sols]
@@ -474,6 +484,61 @@ class TestCommandFileErrors:
         assert str(tmp_path / "commands.txt") in err and words in err
         if "objective row" in words:  # a file from before the row asks for a re-run
             assert "re-run retarget" in err
+
+    W0 = RECORD + "0 0.5 0.1\n"
+    RECORD_1 = RECORD.replace("window=0", "window=1")
+
+    @pytest.mark.parametrize("text, words", [
+        (OBJECTIVE_ROW + W0 + W0, "line 4: 'window=0' where window=1 comes next"),
+        (OBJECTIVE_ROW + W0 + RECORD.replace("window=0", "window=5") + "5 0.5 0.1\n",
+         "line 4: 'window=5' where window=1 comes next"),
+        (OBJECTIVE_ROW + W0 + RECORD_1 + "0 0.5 0.1\n",
+         "line 5: a command of window 0 must follow"),
+        (OBJECTIVE_ROW + "-1 0.5 0.1\n" + W0, "line 2: a command of window -1 must follow"),
+        (OBJECTIVE_ROW + W0 + RECORD_1, "window 1 has no commands"),
+    ], ids=["repeated", "skipped", "command-under-next-record", "command-before-records",
+            "no-commands"])
+    def test_window_numbers_in_order(self, tmp_path, capsys, text, words):
+        self.check(tmp_path, text)
+        err = capsys.readouterr().err
+        assert str(tmp_path / "commands.txt") in err and words in err
+
+    DIGEST_ROW = "#! recording_sha256=" + "0" * 64 + "\n"
+    WAYPOINT_1 = "#! waypoint=1 x=0.08 y=0.0 theta=0.016\n"
+    WALK = DIGEST_ROW + "#! waypoint=0 x=0.0 y=0.0 theta=0.0\n" + WAYPOINT_1
+
+    @pytest.mark.parametrize("text, words", [
+        (OBJECTIVE_ROW + WALK + DIGEST_ROW + W0, "line 5: second recording_sha256 row"),
+        (OBJECTIVE_ROW + WALK.replace("0" * 64, "0" * 63) + W0, "line 2: malformed row"),
+        (OBJECTIVE_ROW + WALK.replace("x=0.08", "x=nan") + W0, "line 4: malformed row"),
+        (OBJECTIVE_ROW + WALK.replace("theta=0.016", "theta=inf") + W0,
+         "line 4: malformed row"),
+        (OBJECTIVE_ROW + WALK.replace("waypoint=1", "waypoint=2") + W0,
+         "line 4: 'waypoint=2' where waypoint=1 comes next"),
+        (OBJECTIVE_ROW + WALK.replace(WAYPOINT_1, "") + W0,
+         "line 3: waypoint count 1 is not command count 1 + 1"),
+        (OBJECTIVE_ROW + WALK + WAYPOINT_1.replace("=1", "=2") + W0,
+         "line 5: waypoint count 3 is not command count 1 + 1"),
+        (OBJECTIVE_ROW + WALK.replace(DIGEST_ROW, "") + W0,
+         "waypoint rows without a recording_sha256 row"),
+    ], ids=["second-digest", "short-digest", "nan-waypoint", "inf-waypoint",
+            "skipped-waypoint", "too-few-waypoints", "too-many-waypoints", "no-digest"])
+    def test_walk_record_fault(self, tmp_path, capsys, text, words):
+        (tmp_path / "commands.txt").write_text(self.OBJECTIVE_ROW + self.WALK + self.W0)
+        assert read_replay(tmp_path / "commands.txt")[2].waypoints[1] == (0.08, 0.0, 0.016)
+        self.check(tmp_path, text)
+        err = capsys.readouterr().err
+        assert str(tmp_path / "commands.txt") in err and words in err
+
+    def test_replay_without_walk_record_asks_to_rerun_retarget(self, tmp_path, capsys):
+        # a file written before the record existed still reads for report
+        path = tmp_path / "commands.txt"
+        path.write_text(self.OBJECTIVE_ROW + self.W0)
+        assert read_command_file(path)[0][0].converged
+        assert main(["simulate", str(path), str(tmp_path / "rec.jsonl"),
+                     "--out", str(tmp_path / "sim.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "re-run retarget" in err
 
     def test_metadata_token_without_equals(self, tmp_path):
         self.check(tmp_path, "#! window=0 cost_total\n" + self.ROWS)
