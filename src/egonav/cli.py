@@ -5,8 +5,10 @@ a stable contract: 0 success, 2 input/validation error, 3 no
 manipulation zones found, 4 solver numerical failure.
 
 When several recordings are given to one segment or retarget call, they
-run on up to one thread per core. ``retarget`` records in its command
-file the digest of the recording and the waypoints it solved for, so
+are split into at most one share per usable core, and each share runs in
+a forked worker process, so parsing and the solver are not serialised by
+one interpreter lock. ``retarget`` records in its command file the
+digest of the recording and the waypoints it solved for, so
 ``simulate`` replays from the command file alone: it hashes the recording
 it is given to check that it is that one, and does not parse it. Its
 ``--config`` is loaded and checked, but it reads no key of it.
@@ -15,9 +17,11 @@ it is given to check that it is that one, and does not parse it. Its
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -63,12 +67,83 @@ def _out_paths(out: Path, recordings, suffix: str) -> list[Path]:
     return list(owners)
 
 
+def _cores() -> int:
+    """The cores this process may use."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _run_share(run, jobs) -> list:
+    """``run(recording, out)`` for each pair; each one's exception, or None."""
+    errors = []
+    for rec, out in jobs:
+        try:
+            run(rec, out)
+            errors.append(None)
+        except Exception as exc:
+            errors.append(exc)
+    return errors
+
+
+def _run_in_child(run, jobs) -> list:
+    """``_run_share`` in a forked child, which pickles its result to a pipe.
+
+    The child always leaves through ``os._exit``, so it never flushes the
+    parent's stdio buffers or runs its exit hooks. A child that ends
+    without reporting fails each of its recordings with a
+    :class:`ChildProcessError`.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            data = pickle.dumps(_run_share(run, jobs))
+            with open(w, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        with open(r, "rb") as fh:
+            data = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status == 0 and data:
+        return pickle.loads(data)
+    code = os.waitstatus_to_exitcode(status)
+    how = f"signal {-code}" if code < 0 else f"exit code {code}"
+    recs = ", ".join(str(rec) for rec, _ in jobs)
+    exc = ChildProcessError(f"worker process for {recs} ended with {how} and no result")
+    return [exc] * len(jobs)
+
+
 def _for_each(run, recordings, outs) -> None:
-    """``run(recording, out)`` for each pair, on up to one thread per core."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)  # the cores this process may use
-    with ThreadPoolExecutor(max_workers=min(len(recordings), cores)) as pool:
-        list(pool.map(run, recordings, outs))
+    """``run(recording, out)`` for each pair, in worker processes when several.
+
+    One recording, one usable core or no ``os.fork`` runs them in this
+    process. Otherwise the pairs are split into ``n = min(recordings,
+    cores)`` static shares ``jobs[i::n]``; each of ``n`` lane threads
+    forks one child, which runs its share in order. Every recording runs
+    even when another fails; then the exception of the first faulty
+    recording in argument order is raised.
+    """
+    jobs = list(zip(recordings, outs))
+    n = min(len(jobs), _cores())
+    if n == 1 or not hasattr(os, "fork"):
+        errors = _run_share(run, jobs)
+    else:
+        errors = [None] * len(jobs)
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            lanes = pool.map(functools.partial(_run_in_child, run),
+                             [jobs[i::n] for i in range(n)])
+            for i, lane in enumerate(lanes):
+                errors[i::n] = lane
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def cmd_synth(args, cfg) -> int:
@@ -182,26 +257,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="synthesis spec (JSON)")
     p.add_argument("--out", required=True, help="output directory")
     common(p, "override the spec's seed and the config seed")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("segment", help="label manipulation/navigation phases")
     p.add_argument("recording", nargs="+")
     p.add_argument("--out", required=True)
     common(p, "override the config seed, which seeds the EM fit")
-    p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("retarget", help="solve for velocity commands")
     p.add_argument("recording", nargs="+")
     p.add_argument("--out", required=True)
     common(p)
-    p.set_defaults(func=cmd_retarget)
 
     p = sub.add_parser("simulate", help="roll out commands and score tracking")
     p.add_argument("commands")
     p.add_argument("recording")
     p.add_argument("--out", required=True)
     common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="write metrics summary and SVG plots")
     p.add_argument("artifacts", help="directory with pipeline outputs")
@@ -209,17 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="summary format: report.txt or report.json")
     common(p)
-    p.set_defaults(func=cmd_report)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if getattr(args, "seed", None) is not None:
             cfg = replace(cfg, seed=args.seed)
-        return args.func(args, cfg)
+        # looked up per call, so a handler replaced on the module is the one run
+        return globals()[f"cmd_{args.command}"](args, cfg)
     except NoManipulationZonesError as exc:
         print(f"egonav: {exc}", file=sys.stderr)
         return EXIT_NO_ZONES

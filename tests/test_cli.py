@@ -392,6 +392,39 @@ class TestPipeline:
         assert [s.cmds for s in a] == [s.cmds for s in b]
         assert workers == [min(2, len(os.sched_getaffinity(0)))]
 
+    def test_parser_is_built_once_and_keeps_nothing_between_calls(
+            self, monkeypatch):
+        built, seen = [], []
+        real = cli.build_parser
+
+        def build():
+            built.append(1)
+            return real()
+
+        def handler(args, cfg):
+            seen.append((vars(args), cfg.seed))
+            return 0
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", build)
+        monkeypatch.setattr(cli, "cmd_segment", handler)
+        monkeypatch.setattr(cli, "cmd_report", handler)
+        assert main(["segment", "a", "b", "--out", "o", "--seed", "5"]) == 0
+        assert main(["segment", "c", "--out", "p"]) == 0
+        assert main(["report", "d", "--out", "q", "--format", "json"]) == 0
+        assert main(["report", "d", "--out", "q"]) == 0
+        cli._parser.cache_clear()
+        assert built == [1]
+        assert seen == [
+            ({"command": "segment", "recording": ["a", "b"], "out": "o",
+              "config": None, "seed": 5}, 5),
+            ({"command": "segment", "recording": ["c"], "out": "p",
+              "config": None, "seed": None}, 0),
+            ({"command": "report", "artifacts": "d", "out": "q",
+              "format": "json", "config": None}, 0),
+            ({"command": "report", "artifacts": "d", "out": "q",
+              "format": "text", "config": None}, 0)]
+
     @pytest.mark.parametrize("command, suffix", [("segment", ".phases.json"),
                                                  ("retarget", ".commands.txt")])
     def test_recordings_with_one_output_name_are_input_error(
