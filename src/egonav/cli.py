@@ -11,7 +11,9 @@ one interpreter lock. ``retarget`` records in its command file the
 digest of the recording and the waypoints it solved for, so
 ``simulate`` replays from the command file alone: it hashes the recording
 it is given to check that it is that one, and does not parse it. Its
-``--config`` is loaded and checked, but it reads no key of it.
+``--config`` is loaded and checked, but it reads no key of it. ``report``
+draws the walk from the command file too, and the rollout from
+``sim.json``, which holds only what the replay computed.
 """
 
 from __future__ import annotations
@@ -150,11 +152,11 @@ def cmd_synth(args, cfg) -> int:
     with open(args.spec) as fh:
         try:
             spec = simulator.spec_from_json(json.load(fh))
-        except (InvalidArgumentError, json.JSONDecodeError) as exc:
+            if args.seed is not None:
+                spec = replace(spec, seed=args.seed)
+            ep, truth = simulator.synthesize(spec)
+        except (InvalidArgumentError, json.JSONDecodeError, RecursionError) as exc:
             raise InvalidArgumentError(f"{args.spec}: {exc}") from None
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    ep, truth = simulator.synthesize(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "recording.jsonl", "w") as fh:
@@ -209,12 +211,16 @@ def cmd_simulate(args, cfg) -> int:
 
 def cmd_report(args, cfg) -> int:
     art = Path(args.artifacts)  # a missing file is an OSError: exit 2
-    solutions, objective = retarget.read_command_file(art / "commands.txt")
+    solutions, objective, walk = retarget.read_replay(art / "commands.txt")
     # echo the objective, phase config and seed the artifacts record
     cfg = replace(cfg, retarget=replace(cfg.retarget, **{
         k: getattr(objective, k) for k in retarget.OBJECTIVE}))
     sim = simulator.read_sim_file(art / "sim.json")
-    desired = [simulator.Pose2(*p) for p in sim["desired"]]
+    if len(sim["poses"]) != len(walk.waypoints) - 1:
+        raise InvalidArgumentError(
+            f"{art / 'sim.json'} holds {len(sim['poses'])} poses, but "
+            f"{art / 'commands.txt'} records {len(walk.waypoints) - 1} waypoints; "
+            "re-run simulate on this command file")
     rollout = [simulator.Pose2(*p) for p in sim["poses"]]
 
     phases = truth = None
@@ -229,7 +235,8 @@ def cmd_report(args, cfg) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "trajectory.svg").write_text(report.trajectory_svg(desired, rollout))
+    (out / "trajectory.svg").write_text(
+        report.trajectory_svg(walk.waypoints[1:], rollout))
     if phases is not None:
         (out / "phases.svg").write_text(report.phase_timeline_svg(phases, truth))
     (out / "costs.svg").write_text(report.cost_bars_svg(solutions))

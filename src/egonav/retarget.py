@@ -475,8 +475,20 @@ def _index(fields: dict, key: str, expected: int) -> None:
             f"a {key} number repeated or skipped")
 
 
-def _read(path) -> tuple[list[RetargetSolution], RetargetConfig, Optional[WalkRecord]]:
-    """The solutions, the objective and the walk record, None if the file has none."""
+def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecord]:
+    """Rebuild the solutions, the objective they were solved under and the walk.
+
+    The objective is a :class:`RetargetConfig` of the header's ``OBJECTIVE``
+    values; its solver fields keep their defaults. A malformed row or '#!'
+    token, a value that is not a finite number, a missing, second or late
+    header, a command outside the header's bounds, a window or waypoint
+    number repeated or skipped, a command not under its window's '#!
+    window=' record, a window without commands, a missing or second
+    recording digest or waypoints that are not one more than the commands
+    raises :class:`InvalidArgumentError`. A file without the objective row
+    or the walk record, written before either existed, asks for retarget
+    to be re-run.
+    """
     metas: list[tuple] = []
     cmds: list[list[VelocityCommand]] = []
     waypoints: list[Pose2] = []
@@ -538,45 +550,18 @@ def _read(path) -> tuple[list[RetargetSolution], RetargetConfig, Optional[WalkRe
     if not all(cmds):
         raise InvalidArgumentError(
             f"command file {path}: window {cmds.index([])} has no commands")
-    walk = None
-    if digest is not None or waypoints:
-        n_cmds = sum(map(len, cmds))
-        if digest is None:
-            raise InvalidArgumentError(
-                f"command file {path}: waypoint rows without a recording_sha256 row{rerun}")
-        if len(waypoints) != n_cmds + 1:
-            raise InvalidArgumentError(
-                f"command file {path} line {record_line}: waypoint count "
-                f"{len(waypoints)} is not command count {n_cmds} + 1")
-        walk = WalkRecord(digest, tuple(waypoints))
-    return [RetargetSolution(tuple(c), *m) for c, m in zip(cmds, metas)], cfg, walk
+    if digest is None:
+        raise InvalidArgumentError(
+            f"command file {path} has no recording_sha256 row{rerun}")
+    n_cmds = sum(map(len, cmds))
+    if len(waypoints) != n_cmds + 1:
+        raise InvalidArgumentError(
+            f"command file {path} line {record_line}: waypoint count "
+            f"{len(waypoints)} is not command count {n_cmds} + 1")
+    return ([RetargetSolution(tuple(c), *m) for c, m in zip(cmds, metas)], cfg,
+            WalkRecord(digest, tuple(waypoints)))
 
 
 def read_command_file(path) -> tuple[list[RetargetSolution], RetargetConfig]:
-    """Rebuild the solutions and the objective they were solved under.
-
-    The objective is a :class:`RetargetConfig` of the header's ``OBJECTIVE``
-    values; its solver fields keep their defaults. A malformed row or '#!'
-    token, a value that is not a finite number, a missing, second or late
-    header, a command outside the header's bounds, a window or waypoint
-    number repeated or skipped, a command not under its window's '#!
-    window=' record, a window without commands, a second recording digest
-    or a walk record whose waypoints are not one more than the commands
-    raises :class:`InvalidArgumentError`. The walk record may be absent.
-    """
-    solutions, cfg, _ = _read(path)
-    return solutions, cfg
-
-
-def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecord]:
-    """:func:`read_command_file` plus the walk record, which must be there.
-
-    A file without it, such as one written before the record existed,
-    raises :class:`InvalidArgumentError` asking for retarget to be re-run.
-    """
-    solutions, cfg, walk = _read(path)
-    if walk is None:
-        raise InvalidArgumentError(
-            f"command file {path} has no recording_sha256 or waypoint rows; "
-            "re-run retarget to write them")
-    return solutions, cfg, walk
+    """The solutions and the objective of :func:`read_replay`."""
+    return read_replay(path)[:2]

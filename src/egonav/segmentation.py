@@ -20,7 +20,7 @@ bit. The M-step gets the responsibilities as a C-order (n, K) array.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Optional
 
 import numpy as np
@@ -351,20 +351,32 @@ def _gmm_field(g: dict, name: str, shape: Optional[tuple]) -> np.ndarray:
     return arr.astype(float)
 
 
+def _phase_config(raw) -> PhaseConfig:
+    """``raw`` as a PhaseConfig; each value must be a finite number of its field's type."""
+    if not isinstance(raw, dict):
+        raise ValueError("'config' must be a JSON object")
+    types = {f.name: f.type for f in fields(PhaseConfig)}
+    for name, value in raw.items():
+        if name in types and not (finite_number(value)
+                                  and (types[name] == "float" or type(value) is int)):
+            raise ValueError(f"'config.{name}' must be a finite {types[name]}, got {value!r}")
+    return PhaseConfig(**raw)
+
+
 def read_phase_file(path) -> tuple[PhaseTrack, Optional[GmmModel], PhaseConfig, int]:
     """Read a phase file; a missing or malformed field raises InvalidArgumentError."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"{path}: a phase file must hold a JSON object")
     try:
         labels = obj["labels"]
-        if not (isinstance(labels, list) and set(map(type, labels)) <= {int}
+        if not (isinstance(labels, list) and labels and set(map(type, labels)) <= {int}
                 and set(labels) <= {MANIPULATION, NAVIGATION}):
-            raise ValueError("'labels' must be a list of 0 (manipulation) "
+            raise ValueError("'labels' must be a non-empty list of 0 (manipulation) "
                              "and 1 (navigation)")
         track = PhaseTrack(np.asarray(labels, dtype=np.int64))
         model = None
@@ -376,7 +388,10 @@ def read_phase_file(path) -> tuple[PhaseTrack, Optional[GmmModel], PhaseConfig, 
             k = len(weights)
             model = GmmModel(weights, _gmm_field(g, "means", (k, 2)),
                              _gmm_field(g, "covariances", (k, 2, 2)))
-        return track, model, PhaseConfig(**obj["config"]), int(obj["seed"])
+        seed = obj["seed"]
+        if type(seed) is not int or seed < 0:  # not a bool either
+            raise ValueError(f"'seed' must be an integer >= 0, got {seed!r}")
+        return track, model, _phase_config(obj["config"]), seed
     except KeyError as exc:
         raise InvalidArgumentError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

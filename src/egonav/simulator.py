@@ -25,20 +25,20 @@ from .segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 HAND_FREQ = 2.0        # Hz, manipulation hand oscillation
 HAND_OFFSET = 0.4      # m, hand circle center in front of the head
 DEFAULT_AMPLITUDE = 0.3
+MAX_FRAMES = 10**6     # the most frames a spec may make: about 9 h at 30 fps
 OUT_OF_RANGE = ("the replay's scores are not all finite: the objective or the "
                 "commands are out of float range")
+SPEC_OUT_OF_RANGE = "the spec's walk leaves the float range"
 
 
 @dataclass(frozen=True)
 class SimResult:
     poses: tuple[Pose2, ...]
-    desired: tuple[Pose2, ...]                  # the waypoints scored against
     pos_rmse: float
     pos_max: float
     yaw_rmse: float
     cost_breakdown: tuple[float, float, float]  # (pos, yaw, smooth), recomputed
-    reported_cost: float                        # solver-reported total
-    cost_discrepancy: float                     # |recomputed - reported|
+    cost_discrepancy: float  # max over windows of |recomputed - solver-reported|
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class SynthSegment:
     def __post_init__(self):
         if self.kind not in ("straight", "arc", "pause-and-manipulate"):
             raise InvalidArgumentError(f"unknown segment kind {self.kind!r}")
+        _check_finite(self, "duration", "speed", "turn_rate", "hand_amplitude")
         if not self.duration > 0:
             raise InvalidArgumentError("segment duration must be positive")
         if self.kind == "arc" and self.turn_rate == 0.0:
@@ -69,10 +70,30 @@ class SynthSpec:
     def __post_init__(self):
         if not self.segments:
             raise InvalidArgumentError("spec needs at least one segment")
+        _check_finite(self, "fps", "noise_std", "head_height")
         if not self.fps > 0:
             raise InvalidArgumentError("fps must be positive")
+        if self.noise_std < 0:
+            raise InvalidArgumentError("noise_std must be >= 0")
+        if type(self.seed) is not int:  # not a bool either
+            raise InvalidArgumentError(f"'seed' must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise InvalidArgumentError("seed must be >= 0")
+        if sum(_frames(seg, self.fps) for seg in self.segments) > MAX_FRAMES:
+            raise InvalidArgumentError(
+                f"the spec makes more than MAX_FRAMES = {MAX_FRAMES} frames")
+
+
+def _check_finite(spec, *names) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not finite_number(value):
+            raise InvalidArgumentError(f"{name!r} must be a finite number, got {value!r}")
+
+
+def _frames(seg: SynthSegment, fps: float) -> int:
+    """The frames ``seg`` makes at ``fps``; MAX_FRAMES + 1 stands for more."""
+    return max(1, round(min(seg.duration * fps, MAX_FRAMES + 1)))
 
 
 def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
@@ -82,8 +103,10 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
     The windows of ``solutions`` are chained as in ``retarget_track`` and
     rolled out under ``cfg``, the objective the command file records: its
     ``dt`` and weights. Each window's recomputed cost is compared with the
-    solver's. No windows give an empty rollout with zero errors. A replay
-    that overflows, such as under a ``dt`` of 1e308, raises
+    solver's, and the largest gap is kept. The result holds only what the
+    replay computed: the waypoints and the solver's costs stay in the
+    command file. No windows give an empty rollout with zero errors. A
+    replay that overflows, such as under a ``dt`` of 1e308, raises
     :class:`InvalidArgumentError` instead of scoring infinities.
     """
     n_cmds = sum(len(sol.cmds) for sol in solutions)
@@ -95,14 +118,13 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
 
     poses: list[Pose2] = []
     parts = np.zeros(3)  # pos, yaw, smooth
-    reported = discrepancy = 0.0
+    discrepancy = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for sol, ro in chain:
             total, *terms = ro.costs()
             if not math.isfinite(total):  # before the poses wrap an infinite heading
                 raise InvalidArgumentError(OUT_OF_RANGE)
             parts += terms
-            reported += sol.cost_total
             discrepancy = max(discrepancy, abs(total - sol.cost_total))
             poses.extend(ro.poses())
 
@@ -111,16 +133,14 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
     n = max(len(errs), 1)
     result = SimResult(
         poses=tuple(poses),
-        desired=tuple(desired),
         pos_rmse=math.sqrt(sum(e * e for e in errs) / n),
         pos_max=max(errs, default=0.0),
         yaw_rmse=math.sqrt(sum(e * e for e in yaw_errs) / n),
         cost_breakdown=tuple(parts.tolist()),
-        reported_cost=reported,
         cost_discrepancy=discrepancy,
     )
     scores = (result.pos_rmse, result.pos_max, result.yaw_rmse, *result.cost_breakdown,
-              result.reported_cost, result.cost_discrepancy)
+              result.cost_discrepancy)
     if not all(map(math.isfinite, scores)):
         raise InvalidArgumentError(OUT_OF_RANGE)
     return result
@@ -136,7 +156,8 @@ def synthesize(spec: SynthSpec) -> tuple[Episode, PhaseTrack]:
     sweeps a circle at 2 Hz, which keeps the hand speed away from zero
     so the velocity-ratio gate stays closed. Each frame is one row of the
     episode's array; the left hand is always absent, and the right hand
-    is present only in pauses.
+    is present only in pauses. A walk whose numbers overflow, such as a
+    speed of 1e308, raises :class:`InvalidArgumentError`.
     """
     rng = np.random.default_rng(spec.seed)
     dt = 1.0 / spec.fps
@@ -145,41 +166,49 @@ def synthesize(spec: SynthSpec) -> tuple[Episode, PhaseTrack]:
     labels: list[int] = []
     pose = Pose2(0.0, 0.0, 0.0)
     t = 0.0
-    for seg in spec.segments:
-        n = max(1, round(seg.duration * spec.fps))
-        for _ in range(n):
-            if seg.kind == "straight":
-                pose = Pose2(pose.x + seg.speed * math.cos(pose.theta) * dt,
-                             pose.y + seg.speed * math.sin(pose.theta) * dt,
-                             pose.theta)
-                head_xy = (pose.x, pose.y)
-                hand = no_hand
-                labels.append(NAVIGATION)
-            elif seg.kind == "arc":
-                r = seg.speed / seg.turn_rate
-                th_new = pose.theta + seg.turn_rate * dt
-                pose = Pose2(pose.x + r * (math.sin(th_new) - math.sin(pose.theta)),
-                             pose.y - r * (math.cos(th_new) - math.cos(pose.theta)),
-                             wrap(th_new))
-                head_xy = (pose.x, pose.y)
-                hand = no_hand
-                labels.append(NAVIGATION)
-            else:  # pause-and-manipulate
-                jitter = rng.normal(0.0, spec.noise_std, 2) if spec.noise_std > 0 \
-                    else (0.0, 0.0)
-                head_xy = (pose.x + jitter[0], pose.y + jitter[1])
-                phase_angle = 2.0 * math.pi * HAND_FREQ * t
-                a = seg.hand_amplitude
-                c, s = math.cos(pose.theta), math.sin(pose.theta)
-                # circular sweep (constant speed 2*pi*f*a) in front of the head
-                local_x = HAND_OFFSET + a * math.cos(phase_angle)
-                local_z = spec.head_height - 0.4 + a * math.sin(phase_angle)
-                hand = (pose.x + c * local_x, pose.y + s * local_x, local_z, 1.0)
-                labels.append(MANIPULATION)
-            t += dt
-            rows.append((t, head_xy[0], head_xy[1], spec.head_height,
-                         *yaw_quaternion(pose.theta), *no_hand, *hand))
-    ep = Episode(np.array(rows, dtype=float), fps=spec.fps)
+    try:
+        for seg in spec.segments:
+            n = _frames(seg, spec.fps)
+            for _ in range(n):
+                if seg.kind == "straight":
+                    pose = Pose2(pose.x + seg.speed * math.cos(pose.theta) * dt,
+                                 pose.y + seg.speed * math.sin(pose.theta) * dt,
+                                 pose.theta)
+                    head_xy = (pose.x, pose.y)
+                    hand = no_hand
+                    labels.append(NAVIGATION)
+                elif seg.kind == "arc":
+                    r = seg.speed / seg.turn_rate
+                    th_new = pose.theta + seg.turn_rate * dt
+                    pose = Pose2(pose.x + r * (math.sin(th_new) - math.sin(pose.theta)),
+                                 pose.y - r * (math.cos(th_new) - math.cos(pose.theta)),
+                                 wrap(th_new))
+                    head_xy = (pose.x, pose.y)
+                    hand = no_hand
+                    labels.append(NAVIGATION)
+                else:  # pause-and-manipulate
+                    jitter = rng.normal(0.0, spec.noise_std, 2) if spec.noise_std > 0 \
+                        else (0.0, 0.0)
+                    head_xy = (pose.x + jitter[0], pose.y + jitter[1])
+                    phase_angle = 2.0 * math.pi * HAND_FREQ * t
+                    a = seg.hand_amplitude
+                    c, s = math.cos(pose.theta), math.sin(pose.theta)
+                    # circular sweep (constant speed 2*pi*f*a) in front of the head
+                    local_x = HAND_OFFSET + a * math.cos(phase_angle)
+                    local_z = spec.head_height - 0.4 + a * math.sin(phase_angle)
+                    hand = (pose.x + c * local_x, pose.y + s * local_x, local_z, 1.0)
+                    labels.append(MANIPULATION)
+                t += dt
+                rows.append((t, head_xy[0], head_xy[1], spec.head_height,
+                             *yaw_quaternion(pose.theta), *no_hand, *hand))
+    except ValueError:  # math.sin or math.cos of an angle that overflowed
+        raise InvalidArgumentError(SPEC_OUT_OF_RANGE) from None
+    frames = np.array(rows, dtype=float)
+    right = frames[:, 12:]  # a hand's confidence is NaN where it is absent
+    if not (np.isfinite(frames[:, :8]).all()
+            and np.isfinite(right[~np.isnan(right[:, 3])]).all()):
+        raise InvalidArgumentError(SPEC_OUT_OF_RANGE)
+    ep = Episode(frames, fps=spec.fps)
     return ep, PhaseTrack(np.asarray(labels, dtype=np.int64))
 
 
@@ -191,26 +220,15 @@ def score_segmentation(predicted: PhaseTrack, truth: PhaseTrack) -> float:
 
 
 def spec_from_json(obj: dict) -> SynthSpec:
-    """Build a SynthSpec from its JSON representation."""
+    """Build a SynthSpec from the keys its JSON representation has.
+
+    A missing or unknown key raises :class:`InvalidArgumentError`, as do
+    the checks of :class:`SynthSegment` and :class:`SynthSpec`.
+    """
     try:
-        segments = tuple(
-            SynthSegment(
-                kind=s["kind"],
-                duration=float(s["duration"]),
-                speed=float(s.get("speed", 1.0)),
-                turn_rate=float(s.get("turn_rate", 0.0)),
-                hand_amplitude=float(s.get("hand_amplitude", DEFAULT_AMPLITUDE)),
-            )
-            for s in obj["segments"]
-        )
-        return SynthSpec(
-            segments=segments,
-            fps=float(obj.get("fps", 30.0)),
-            noise_std=float(obj.get("noise_std", 0.0)),
-            seed=int(obj.get("seed", 0)),
-            head_height=float(obj.get("head_height", 1.6)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        segments = tuple(SynthSegment(**s) for s in obj["segments"])
+        return SynthSpec(segments, **{k: v for k, v in obj.items() if k != "segments"})
+    except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"invalid synthesis spec: {exc}") from None
 
 
@@ -222,10 +240,8 @@ def write_sim_file(path, result: SimResult) -> None:
         "cost_pos": result.cost_breakdown[0],
         "cost_yaw": result.cost_breakdown[1],
         "cost_smooth": result.cost_breakdown[2],
-        "reported_cost": result.reported_cost,
         "cost_discrepancy": result.cost_discrepancy,
         "poses": [[p.x, p.y, p.theta] for p in result.poses],
-        "desired": [[p.x, p.y, p.theta] for p in result.desired],
     }
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1)
@@ -237,23 +253,19 @@ def read_sim_file(path) -> dict:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"{path}: a sim file must hold a JSON object")
-    if "desired" not in obj:
-        raise InvalidArgumentError(
-            f"{path} has no 'desired' waypoints; re-run simulate to write them")
     for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy", "poses"):
         if key not in obj:
             raise InvalidArgumentError(f"{path}: missing field {key!r}")
     for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy"):
         if not finite_number(obj[key]):
             raise InvalidArgumentError(f"{path}: {key!r} must be a finite number")
-    for key in ("poses", "desired"):
-        if not (isinstance(obj[key], list) and all(
-                isinstance(p, list) and len(p) == 3 and all(map(finite_number, p))
-                for p in obj[key])):
-            raise InvalidArgumentError(
-                f"{path}: {key!r} must be a list of [x, y, theta] finite numbers")
+    if not (isinstance(obj["poses"], list) and all(
+            isinstance(p, list) and len(p) == 3 and all(map(finite_number, p))
+            for p in obj["poses"])):
+        raise InvalidArgumentError(
+            f"{path}: 'poses' must be a list of [x, y, theta] finite numbers")
     return obj

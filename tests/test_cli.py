@@ -12,7 +12,7 @@ from egonav.config import load_config
 from egonav.geometry import Pose2
 from egonav.ingest import extract_waypoints, parse_recording
 from egonav.retarget import read_command_file, read_replay
-from egonav.simulator import read_sim_file
+from egonav.simulator import read_sim_file, simulate
 
 E2E_SPEC = {
     "segments": [
@@ -201,7 +201,7 @@ class TestExitCodes:
                      str(art / "recording.jsonl"),
                      "--out", str(art / "sim.json")]) == 0
         sim = read_sim_file(art / "sim.json")
-        assert sim["poses"] == sim["desired"] == []
+        assert sim["poses"] == []
         assert sim["pos_rmse"] == sim["pos_max"] == sim["yaw_rmse"] == 0.0
         assert sim["cost_discrepancy"] == 0.0
         assert main(["report", str(art), "--out", str(tmp_path / "rep")]) == 0
@@ -254,7 +254,9 @@ class TestPipeline:
                      "--config", str(workdir / "replay.txt")]) == 0
         sim = read_sim_file(art / "sim.json")
         assert sim["cost_discrepancy"] == 0.0
-        assert sim["desired"] == [list(p) for p in read_replay(cmds)[2].waypoints[1:]]
+        sols, objective, walk = read_replay(cmds)
+        replay = simulate(walk.waypoints[0], sols, walk.waypoints[1:], objective)
+        assert sim["pos_rmse"] == replay.pos_rmse
 
     def test_simulate_of_another_recording_is_input_error(self, workdir, capsys):
         (workdir / "other").mkdir()
@@ -333,6 +335,20 @@ class TestPipeline:
             assert (rep / name).exists()
         summary = json.loads((rep / "report.json").read_text())
         assert summary["segmentation_accuracy"] >= 0.95
+
+    def test_every_json_artifact_is_strict_json(self, workdir):
+        # no NaN or Infinity token, and no number such as 1e999 that reads as one
+        def finite(token):
+            if not np.isfinite(value := float(token)):
+                raise ValueError(f"{token} is not finite")
+            return value
+
+        art = run_pipeline(workdir, fmt="json")
+        paths = [*art.glob("*.json"), workdir / "rep" / "report.json"]
+        assert sorted(p.name for p in paths) == [
+            "phases.json", "report.json", "sim.json", "truth.json"]
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=finite, parse_float=finite)
 
     def test_reruns_byte_identical(self, workdir, tmp_path):
         art1 = run_pipeline(workdir)
@@ -515,13 +531,28 @@ class TestArtifactReaders:
         assert code == 2
         assert str(sim) in err and repr(key) in err
 
-    def test_sim_file_without_desired_asks_to_rerun_simulate(self, workdir, capsys):
+    def test_sim_file_with_the_old_walk_copy_reads_fine(self, workdir, capsys):
+        # a sim.json from before the command file held the walk also carries
+        # `desired` and `reported_cost`; report ignores both
+        run_pipeline(workdir)
+        art = workdir / "art"
+        assert self.report(workdir, capsys)[0] == 0
+        new = {f.name: f.read_bytes() for f in (workdir / "rep2").iterdir()}
+        walk = read_replay(art / "commands.txt")[2]
+        self.edit_json(art / "sim.json", lambda obj: obj.update(
+            desired=[list(p) for p in walk.waypoints[1:]], reported_cost=1.0))
+        assert self.report(workdir, capsys)[0] == 0
+        assert {f.name: f.read_bytes() for f in (workdir / "rep2").iterdir()} == new
+
+    def test_sim_file_of_another_walk_asks_to_rerun_simulate(self, workdir, capsys):
         run_pipeline(workdir)
         sim = workdir / "art" / "sim.json"
-        self.edit_json(sim, lambda obj: obj.pop("desired"))
+        self.edit_json(sim, lambda obj: obj["poses"].pop())
         code, err = self.report(workdir, capsys)
         assert code == 2
-        assert str(sim) in err and "re-run simulate" in err
+        assert str(sim) in err and str(workdir / "art" / "commands.txt") in err
+        assert "re-run simulate" in err
+        assert not (workdir / "rep2" / "trajectory.svg").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("pos_rmse", float("nan")), ("yaw_rmse", True), ("pos_max", float("inf")),
@@ -543,7 +574,7 @@ class TestArtifactReaders:
         code, err = self.report(workdir, capsys)
         assert code == 2 and str(sim) in err
 
-    @pytest.mark.parametrize("key", ["poses", "desired"])
+    @pytest.mark.parametrize("key", ["poses"])
     @pytest.mark.parametrize("coord", [float("nan"), float("inf"),
                                        -float("inf"), True],
                              ids=["nan", "inf", "-inf", "bool"])
@@ -578,9 +609,14 @@ class TestArtifactReaders:
         (lambda obj: obj["gmm"].update(means=[1.0]), "'gmm.means'"),
         (lambda obj: obj["gmm"].update(weights=[]), "'gmm.weights'"),
         (lambda obj: obj["gmm"]["covariances"].pop(), "'gmm.covariances'"),
+        (lambda obj: obj["config"].update(tau_pdf=float("inf")), "'config.tau_pdf'"),
+        (lambda obj: obj["config"].update(tau_duration=2.5), "'config.tau_duration'"),
+        (lambda obj: obj.update(seed=1.5), "'seed'"),
+        (lambda obj: obj.update(seed=True), "'seed'"),
     ], ids=["labels", "config", "seed", "unknown-config-key", "bad-seed",
             "labels-not-a-list", "gmm-means-shape", "gmm-no-components",
-            "gmm-covariances-count"])
+            "gmm-covariances-count", "inf-config-value", "fractional-config-int",
+            "fractional-seed", "bool-seed"])
     def test_phase_file_malformed(self, workdir, capsys, edit, words):
         run_pipeline(workdir)
         phases = workdir / "art" / "phases.json"
@@ -588,6 +624,60 @@ class TestArtifactReaders:
         code, err = self.report(workdir, capsys)
         assert code == 2
         assert str(phases) in err and words in err
+
+    @pytest.mark.parametrize("name", ["spec.json", "phases.json", "truth.json", "sim.json"])
+    def test_json_nested_too_deep(self, workdir, capsys, name):
+        run_pipeline(workdir)
+        path = workdir / ("art" if name != "spec.json" else "") / name
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        if name == "spec.json":
+            code = main(["synth", str(path), "--out", str(workdir / "art2")])
+            err = capsys.readouterr().err
+        else:
+            code, err = self.report(workdir, capsys)
+        assert code == 2 and str(path) in err and "recursion" in err
+
+    @pytest.mark.parametrize("name", ["phases.json", "truth.json"])
+    def test_phase_file_without_labels(self, workdir, capsys, name):
+        # an empty track would score a NaN accuracy, which is not JSON
+        run_pipeline(workdir)
+        path = workdir / "art" / name
+        self.edit_json(path, lambda obj: obj.update(labels=[]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.report(workdir, capsys)
+        assert code == 2
+        assert str(path) in err and "'labels'" in err
+
+    @pytest.mark.parametrize("spec, words", [
+        ({"segments": [{"kind": "straight", "duration": 1e999}]}, "'duration'"),
+        ({"segments": [{"kind": "straight", "duration": 1.0}], "fps": 1e999}, "'fps'"),
+        ({"segments": [{"kind": "arc", "duration": 1.0, "turn_rate": 1e999}]},
+         "'turn_rate'"),
+        ({"segments": [{"kind": "pause-and-manipulate", "duration": 1.0}],
+          "noise_std": 1e999}, "'noise_std'"),
+        ({"segments": [{"kind": "straight", "duration": 1.0, "speed": 1e999}]},
+         "'speed'"),
+        ({"segments": [{"kind": "straight", "duration": 1.0}], "head_height": 1e999},
+         "'head_height'"),
+        ({"segments": [{"kind": "straight", "duration": 1.0}], "seed": 1.5}, "'seed'"),
+        ({"segments": [{"kind": "straight", "duration": 1e9}]}, "MAX_FRAMES"),
+        ({"segments": [{"kind": "straight", "duration": 20_000.0}] * 2}, "MAX_FRAMES"),
+        ({"segments": [{"kind": "straight", "duration": 1.0, "speed": 1e308}],
+          "fps": 1e-300}, "float range"),
+        ({"segments": [{"kind": "arc", "duration": 1.0, "turn_rate": 1e308}],
+          "fps": 1e-300}, "float range"),
+        ({"segments": [{"kind": "straight", "duration": 1.0, "sped": 2.0}]}, "'sped'"),
+    ], ids=["duration", "fps", "turn-rate", "noise-std", "speed", "head-height",
+            "fractional-seed", "long", "long-in-sum", "overflowing-walk",
+            "overflowing-turn", "unknown-key"])
+    def test_synth_spec_out_of_range(self, tmp_path, capsys, spec, words):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        assert main(["synth", str(path), "--out", str(tmp_path / "art")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and words in err and "Traceback" not in err
+        assert not (tmp_path / "art").exists()
 
     @pytest.mark.parametrize("segment", [
         {"kind": "straight", "duration": "abc"},

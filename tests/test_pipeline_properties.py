@@ -165,9 +165,9 @@ phase_configs = st.builds(PhaseConfig, positive, positive, st.integers(1, 10**6)
 
 
 @PROPERTY
-@given(st.lists(st.sampled_from([MANIPULATION, NAVIGATION]), max_size=50),
+@given(st.lists(st.sampled_from([MANIPULATION, NAVIGATION]), min_size=1, max_size=50),
        st.none() | gmm_models(), phase_configs, st.integers(0, 2**70))
-@example([], GmmModel(np.array([-0.0]), np.array([[5e-324, -5e-324]]),
+@example([NAVIGATION], GmmModel(np.array([-0.0]), np.array([[5e-324, -5e-324]]),
                       np.array([[[1e-310, -0.0], [0.0, 1.0]]])),
          PhaseConfig(), 2**70)
 def test_phase_file_round_trips_bit_exactly(tmp_path_factory, labels, model,

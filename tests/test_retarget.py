@@ -449,7 +449,10 @@ def test_command_file_round_trip(tmp_path):
 class TestCommandFileErrors:
     OBJECTIVE_ROW = ("#! dt=0.16 lambda_pos=32.0 lambda_yaw=2.0 lambda_smooth=1.0 "
                      "v_min=-1.0 v_max=1.0 omega_min=-3.0 omega_max=3.0\n")
-    ROWS = OBJECTIVE_ROW + "0 0.5 0.1\n"
+    DIGEST_ROW = "#! recording_sha256=" + "0" * 64 + "\n"
+    WAYPOINT_1 = "#! waypoint=1 x=0.08 y=0.0 theta=0.016\n"
+    WALK = DIGEST_ROW + "#! waypoint=0 x=0.0 y=0.0 theta=0.0\n" + WAYPOINT_1
+    ROWS = OBJECTIVE_ROW + WALK + "0 0.5 0.1\n"
     RECORD = ("#! window=0 cost_total=0.5 cost_pos=0.25 cost_yaw=0.125 "
               "cost_smooth=0.125 iterations=3 converged=1\n")
 
@@ -503,10 +506,6 @@ class TestCommandFileErrors:
         err = capsys.readouterr().err
         assert str(tmp_path / "commands.txt") in err and words in err
 
-    DIGEST_ROW = "#! recording_sha256=" + "0" * 64 + "\n"
-    WAYPOINT_1 = "#! waypoint=1 x=0.08 y=0.0 theta=0.016\n"
-    WALK = DIGEST_ROW + "#! waypoint=0 x=0.0 y=0.0 theta=0.0\n" + WAYPOINT_1
-
     @pytest.mark.parametrize("text, words", [
         (OBJECTIVE_ROW + WALK + DIGEST_ROW + W0, "line 5: second recording_sha256 row"),
         (OBJECTIVE_ROW + WALK.replace("0" * 64, "0" * 63) + W0, "line 2: malformed row"),
@@ -520,7 +519,7 @@ class TestCommandFileErrors:
         (OBJECTIVE_ROW + WALK + WAYPOINT_1.replace("=1", "=2") + W0,
          "line 5: waypoint count 3 is not command count 1 + 1"),
         (OBJECTIVE_ROW + WALK.replace(DIGEST_ROW, "") + W0,
-         "waypoint rows without a recording_sha256 row"),
+         "has no recording_sha256 row; re-run retarget"),
     ], ids=["second-digest", "short-digest", "nan-waypoint", "inf-waypoint",
             "skipped-waypoint", "too-few-waypoints", "too-many-waypoints", "no-digest"])
     def test_walk_record_fault(self, tmp_path, capsys, text, words):
@@ -531,14 +530,13 @@ class TestCommandFileErrors:
         assert str(tmp_path / "commands.txt") in err and words in err
 
     def test_replay_without_walk_record_asks_to_rerun_retarget(self, tmp_path, capsys):
-        # a file written before the record existed still reads for report
-        path = tmp_path / "commands.txt"
-        path.write_text(self.OBJECTIVE_ROW + self.W0)
-        assert read_command_file(path)[0][0].converged
-        assert main(["simulate", str(path), str(tmp_path / "rec.jsonl"),
-                     "--out", str(tmp_path / "sim.json")]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and "re-run retarget" in err
+        # a file written before the record existed: every reader rejects it
+        self.check(tmp_path, self.OBJECTIVE_ROW + self.W0)
+        assert main(["report", str(tmp_path), "--out", str(tmp_path / "rep")]) == 2
+        errs = capsys.readouterr().err.splitlines()  # simulate's, then report's
+        assert len(errs) == 2 and all(
+            f"{tmp_path / 'commands.txt'} has no recording_sha256 row; re-run retarget"
+            in err for err in errs)
 
     def test_metadata_token_without_equals(self, tmp_path):
         self.check(tmp_path, "#! window=0 cost_total\n" + self.ROWS)
