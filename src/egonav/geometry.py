@@ -2,11 +2,10 @@
 
 Poses live in SE(2) as (x, y, theta) with theta kept in (-pi, pi].
 The base motion model is the standard unicycle stepped with explicit
-Euler. :func:`step` and :func:`rollout` are its scalar reference. The
-optimizer and the simulator share one vectorized form of the same model
+Euler. The optimizer and the simulator share one vectorized form of it
 (:func:`egonav.retarget.window_rollout`), which sums headings instead of
-wrapping them after every step; the two agree to rounding, not bit for
-bit, and the tests compare them.
+wrapping them after every step; the tests keep a scalar step-by-step
+rollout as its reference.
 
 :class:`Pose2` is a :class:`typing.NamedTuple`: immutable, picklable and
 cheap to build, and, as a tuple of floats, untracked by the garbage
@@ -74,29 +73,6 @@ class VelocityCommand:
 
     v: float
     omega: float
-
-
-def step(pose: Pose2, cmd: VelocityCommand, dt: float) -> Pose2:
-    """Advance a pose by one explicit Euler step of the unicycle model."""
-    if not dt > 0.0:
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
-    return Pose2(
-        pose.x + cmd.v * math.cos(pose.theta) * dt,
-        pose.y + cmd.v * math.sin(pose.theta) * dt,
-        wrap(pose.theta + cmd.omega * dt),
-    )
-
-
-def rollout(start: Pose2, cmds: Sequence[VelocityCommand], dt: float) -> list[Pose2]:
-    """Apply a command sequence from ``start``; returns the K poses after each step."""
-    if len(cmds) == 0:
-        raise InvalidArgumentError("command sequence must be non-empty")
-    poses = []
-    pose = start
-    for cmd in cmds:
-        pose = step(pose, cmd, dt)
-        poses.append(pose)
-    return poses
 
 
 def compose(reference: Pose2, relative: Pose2) -> Pose2:

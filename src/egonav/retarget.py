@@ -19,9 +19,9 @@ at the optimum, where Gauss-Newton alone converges only linearly.
 the clip to the bounds, g the gradient and f the cost; every iterate is
 tested, the last one ``max_iters`` allows too. The arc search rolls its
 trial points out without J and builds J only for the point it accepts,
-from that rollout's own cos, sin and running sums. A brute-force grid
-enumerator with its own batched rollout is an independent oracle for
-small instances.
+from that rollout's own cos, sin and running sums. Each call works on
+arrays of 5K or (2K)^2 elements, so the number of NumPy calls per step
+sets the solver's cost, not the arithmetic.
 
 A command file holds the solutions, the objective they were solved under
 and the :class:`WalkRecord` they were solved for (the recording's digest
@@ -125,36 +125,50 @@ class WindowRollout(NamedTuple):
 
 @functools.lru_cache(maxsize=32)
 def _blocks(K: int, dt: float, lambda_pos: float, lambda_yaw: float,
-            lambda_smooth: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            lambda_smooth: float) -> tuple[np.ndarray, ...]:
     """The read-only arrays every window of one size and objective shares.
 
     They are the (5, 1) square roots of the residual blocks' weights, the
-    (K, K) lower-triangular ones (command j moves every pose k >= j) and
-    the (5K, K, 2) Jacobian with its constant yaw and smoothness blocks.
+    (K, K) lower-triangular ones (command j moves every pose k >= j), the
+    (5K, K, 2) Jacobian with its constant yaw and smoothness blocks, and
+    for :meth:`_Window.curvature` the strictly lower-triangular ones and
+    the (K, K) index max(m, n).
     """
     sp, sy, ss = math.sqrt(lambda_pos), math.sqrt(lambda_yaw), math.sqrt(lambda_smooth)
     low = np.tril(np.ones((K, K)))
     jac = np.zeros((5 * K, K, 2))
     jac[2 * K:3 * K, :, 1] = sy * dt * low
     jac[3 * K:4 * K, :, 0] = jac[4 * K:, :, 1] = ss * (np.eye(K) - np.eye(K, k=-1))
-    blocks = np.array([sp, sp, sy, ss, ss])[:, None], low, jac
+    blocks = (np.array([sp, sp, sy, ss, ss])[:, None], low, jac, low - np.eye(K),
+              np.maximum.outer(np.arange(K), np.arange(K)))
     for a in blocks:
         a.flags.writeable = False
     return blocks
 
 
 class _Window:
-    """One problem's rollout with its waypoint arrays and constant Jacobian blocks."""
+    """One problem's rollout with its waypoint arrays and constant Jacobian blocks.
+
+    Each rollout overwrites the previous commands in ``before``, so one
+    window serves one thread.
+    """
 
     def __init__(self, prob: RetargetProblem):
         cfg, K = prob.config, len(prob.desired)
         self.K, self.dt = K, cfg.dt
-        self.start = (prob.start.x, prob.start.y, prob.start.theta)
-        self.prev = (prob.prev_cmd.v, prob.prev_cmd.omega)
-        self.desired = np.array([(d.x, d.y, d.theta) for d in prob.desired]).T
+        self.origin = np.array([[prob.start.x], [prob.start.y]], dtype=float)
+        self.th0 = prob.start.theta
         self.sp = math.sqrt(cfg.lambda_pos)
-        self.weights, self.low, self.jac = _blocks(
+        self.weights, self.low, self.jac, self.strict, self.later = _blocks(
             K, cfg.dt, cfg.lambda_pos, cfg.lambda_yaw, cfg.lambda_smooth)
+        f = self.sp * cfg.dt
+        # dx_k/d omega_j and dy_k/d omega_j scale sy_k - sy_j and cx_k - cx_j by these
+        self.turn = np.array([-f * cfg.dt, f * cfg.dt])[:, None, None]
+        # what the rollout's rows x, y, yaw, v, omega are compared with: the
+        # waypoints, then the command before each command
+        self.before = np.empty((5, K))
+        self.before[:3] = list(zip(*prob.desired))
+        self.before[3:, 0] = prob.prev_cmd.v, prob.prev_cmd.omega
 
     def rollout(self, z) -> tuple[WindowRollout, tuple]:
         """The rollout of ``z`` without J, and the cos, sin and sums J is built from."""
@@ -163,33 +177,44 @@ class _Window:
         if len(z) != K:
             raise InvalidArgumentError(
                 f"command count {len(z)} != waypoint count {K}")
-        v, w = z.T
-        x0, y0, th0 = self.start
-        # heading before each command: th0 + dt * (omega_0 + ... + omega_{k-1})
-        th = th0 + dt * np.concatenate([[0.0], np.cumsum(w)])
-        cos, sin = np.cos(th[:-1]), np.sin(th[:-1])
-        cx, sy = np.cumsum(v * cos), np.cumsum(v * sin)
-        states = np.array([x0 + dt * cx, y0 + dt * sy, th[1:]])
-        r = np.empty((5, K))
-        np.subtract(states, self.desired, out=r[:3])
-        r[2] -= TWO_PI * np.round(r[2] / TWO_PI)
-        r[3:, 0] = z[0] - self.prev
-        np.subtract(z[1:].T, z[:-1].T, out=r[3:, 1:])
+        # heading before each command: th0 + dt * (omega_0 + ... + omega_{k-1});
+        # np.add.accumulate is np.cumsum without the method's call overhead
+        th = np.empty(K + 1)
+        th[0] = 0.0
+        np.add.accumulate(z[:, 1], out=th[1:])
+        th *= dt
+        th += self.th0
+        trig = np.empty((2, K))
+        np.cos(th[:-1], out=trig[0])
+        np.sin(th[:-1], out=trig[1])
+        # running sums cx of v cos theta and sy of v sin theta
+        sums = np.add.accumulate(z[:, 0] * trig, axis=1)
+        now = np.empty((5, K))  # states, then the commands
+        np.multiply(dt, sums, out=now[:2])
+        now[:2] += self.origin
+        now[2] = th[1:]
+        now[3:] = z.T
+        self.before[3:, 1:] = z[:-1].T
+        r = now - self.before
+        r[2] -= TWO_PI * np.rint(r[2] / TWO_PI)
         r *= self.weights
-        return WindowRollout(states, r.ravel(), None), (cos, sin, cx, sy)
+        return WindowRollout(now[:3], r.ravel(), None), (trig, sums)
 
     def jacobian(self, parts: tuple) -> np.ndarray:
         """J at the point whose :meth:`rollout` returned ``parts``."""
-        K, dt = self.K, self.dt
-        cos, sin, cx, sy = parts
-        # d x_k / d omega_j = -dt^2 (sy_k - sy_j) for j <= k, and
-        # d y_k / d omega_j = dt^2 (cx_k - cx_j)
-        f = self.sp * dt
+        K = self.K
+        trig, sums = parts
         J = self.jac.copy()
-        J[:K, :, 0] = f * cos * self.low
-        J[:K, :, 1] = -f * dt * (sy[:, None] - sy) * self.low
-        J[K:2 * K, :, 0] = f * sin * self.low
-        J[K:2 * K, :, 1] = f * dt * (cx[:, None] - cx) * self.low
+        pos = J[:2 * K].reshape(2, K, K, 2)  # x rows, then y rows
+        # d x_k / d v_j = sqrt(lambda_pos) dt cos theta_j for j <= k, and
+        # d y_k / d v_j the same with sin
+        np.multiply((self.sp * self.dt * trig)[:, None], self.low, out=pos[..., 0])
+        # d x_k / d omega_j = -dt^2 (sy_k - sy_j) for j <= k, and
+        # d y_k / d omega_j = dt^2 (cx_k - cx_j), both times sqrt(lambda_pos)
+        sycx = sums[::-1]
+        d = sycx[:, :, None] - sycx[:, None]
+        d *= self.turn
+        np.multiply(d, self.low, out=pos[..., 1])
         return J.reshape(5 * K, 2 * K)
 
     def __call__(self, z, jacobian: bool = False) -> WindowRollout:
@@ -208,16 +233,19 @@ class _Window:
         """
         K, dt = self.K, self.dt
         v = np.asarray(z, dtype=float).reshape(-1, 2)[:, 0]
-        th = np.concatenate([[self.start[2]], ro.states[2, :-1]])
+        th = np.empty(K)
+        th[0] = self.th0
+        th[1:] = ro.states[2, :-1]
         cos, sin = np.cos(th), np.sin(th)
-        rx, ry = np.cumsum(ro.r[:2 * K].reshape(2, K)[:, ::-1], axis=1)[:, ::-1]
+        rx, ry = np.add.accumulate(ro.r[:2 * K].reshape(2, K)[:, ::-1], axis=1)[:, ::-1]
         b = v * (cos * rx + sin * ry)
-        after = np.append(np.cumsum(b[::-1])[-2::-1], 0.0)  # sum of b_j over j > m
+        after = np.zeros(K)  # sum of b_j over j > m
+        np.add.accumulate(b[:0:-1], out=after[-2::-1])
         f = self.sp * dt * dt
         S = np.zeros((K, 2, K, 2))
-        S[:, 0, :, 1] = f * (cos * ry - sin * rx)[:, None] * (self.low - np.eye(K))
+        S[:, 0, :, 1] = f * (cos * ry - sin * rx)[:, None] * self.strict
         S[:, 1, :, 0] = S[:, 0, :, 1].T
-        S[:, 1, :, 1] = -f * dt * after[np.maximum.outer(np.arange(K), np.arange(K))]
+        S[:, 1, :, 1] = -f * dt * after[self.later]
         return S.reshape(2 * K, 2 * K)
 
 
@@ -246,7 +274,8 @@ def _fd_inversion_init(prob: RetargetProblem) -> np.ndarray:
     p = np.array([(q.x, q.y, q.theta) for q in (prob.start, *prob.desired)])
     dx, dy, dth = np.diff(p, axis=0).T
     v = dx * np.cos(p[:-1, 2]) + dy * np.sin(p[:-1, 2])
-    return np.column_stack([v, dth - TWO_PI * np.round(dth / TWO_PI)]) / prob.config.dt
+    with np.errstate(over="ignore"):  # a tiny dt; solve clips the start to the bounds
+        return np.column_stack([v, dth - TWO_PI * np.round(dth / TWO_PI)]) / prob.config.dt
 
 
 def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -261,7 +290,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     by halving a from the last accepted step, doubled if that one passed
     at once (infeasible windows overshoot steadily). Trial points are
     rolled out without J, which only the accepted one gets. Returns (z, f,
-    iterations, converged).
+    iterations, converged, the rollout of z).
     """
     ro, parts = model.rollout(z)
     J = model.jacobian(parts)
@@ -274,19 +303,20 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     stalled = False
     while True:
         g = 2.0 * (ro.r @ J)
-        pg = z - np.clip(z - g, lo, hi)
+        pg = z - np.minimum(np.maximum(z - g, lo), hi)
         pg_norm = math.sqrt(float(pg @ pg))
         if pg_norm <= cfg.grad_tol * (STOP_FLOOR + f):
-            return z, f, iters, True
+            return z, f, iters, True, ro
         if iters == cfg.max_iters:
-            return z, f, iters, False
+            return z, f, iters, False, ro
         eps = min(1e-3, pg_norm)
         free = ~(((z <= lo + eps) & (g > 0)) | ((z >= hi - eps) & (g < 0)))
         H = 2.0 * (J.T @ J)
-        diag = H.diagonal() + 1e-12 * (1.0 + H.diagonal().max())
-        coupled = np.outer(free, free)
+        diag = H.diagonal()
+        diag = diag + 1e-12 * (1.0 + diag.max())
+        coupled = free[:, None] & free
         H *= coupled  # decouple the active variables ...
-        np.fill_diagonal(H, diag)  # ... which keep only their diagonal
+        H.flat[::len(z) + 1] = diag  # ... which keep only their diagonal
         if stalled:
             newton = H + 2.0 * model.curvature(z, ro) * coupled
             try:
@@ -298,19 +328,23 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         d = np.linalg.solve(H, -g)
         g_free = np.where(free, g, 0.0)
         slope = float(g_free @ d)
+        g_active = g - g_free
         trial = a
         while True:
-            z_new = np.clip(z + a * d, lo, hi)
+            z_new = a * d
+            z_new += z
+            np.maximum(z_new, lo, out=z_new)
+            np.minimum(z_new, hi, out=z_new)
             ro_new, parts = model.rollout(z_new)
             f_new = float(ro_new.r @ ro_new.r)
             if not math.isfinite(f_new):
                 raise NumericalFailureError("cost became non-finite during the arc "
                                             "search", last_iterate=z.reshape(-1, 2))
-            if f_new <= f + 1e-4 * (a * slope + float((g - g_free) @ (z_new - z))):
+            if f_new <= f + 1e-4 * (a * slope + float(g_active @ (z_new - z))):
                 break
             a *= 0.5
             if a < 1e-12:
-                return z, f, iters, False  # no descent left at this precision
+                return z, f, iters, False, ro  # no descent left at this precision
         if a == trial:
             a = min(1.0, 2.0 * a)
         stalled = f_new > (1.0 - NEWTON_SWITCH) * f
@@ -335,45 +369,9 @@ def solve(prob: RetargetProblem) -> RetargetSolution:
     lo, hi = np.tile([[cfg.v_min, cfg.omega_min], [cfg.v_max, cfg.omega_max]], K)
     runs = [_gauss_newton(model, np.clip(z0.ravel(), lo, hi), lo, hi, cfg)
             for z0 in (np.zeros((K, 2)), _fd_inversion_init(prob))]
-    z, _, iters, conv = min(runs, key=lambda run: run[1])  # ties: earliest start
+    z, _, iters, conv, ro = min(runs, key=lambda run: run[1])  # ties: earliest start
     cmds = tuple(VelocityCommand(v, w) for v, w in z.reshape(-1, 2).tolist())
-    return RetargetSolution(cmds, *model(z).costs(), iters, conv)
-
-
-def brute_force(prob: RetargetProblem, grid_per_axis: int) -> tuple[np.ndarray, float]:
-    """Exhaustive grid minimizer of the objective; oracle for small instances.
-
-    Enumerates (grid_per_axis^2)^K command sequences uniformly spanning
-    the bounds (endpoints included) and returns the best by exact cost.
-    """
-    cfg = prob.config
-    K = len(prob.desired)
-    if K > 4 or grid_per_axis > 15:
-        raise InvalidArgumentError("brute force limited to K <= 4 and grid <= 15")
-    vs = np.linspace(cfg.v_min, cfg.v_max, grid_per_axis)
-    ws = np.linspace(cfg.omega_min, cfg.omega_max, grid_per_axis)
-    pairs = np.array([(v, w) for v in vs for w in ws])  # (g^2, 2)
-    # every sequence of K pairs, the last step varying fastest
-    z_all = pairs[np.indices((len(pairs),) * K).reshape(K, -1).T]
-
-    dt = cfg.dt
-    x, y, th = prob.start.x, prob.start.y, prob.start.theta
-    pv, pw = prob.prev_cmd.v, prob.prev_cmd.omega
-    total = np.zeros(len(z_all))
-    for k in range(K):
-        v, w = z_all[:, k].T
-        x = x + v * np.cos(th) * dt
-        y = y + v * np.sin(th) * dt
-        th = th + w * dt
-        d = prob.desired[k]
-        total += cfg.lambda_pos * ((x - d.x) ** 2 + (y - d.y) ** 2)
-        dyaw = np.mod(th - d.theta, 2.0 * math.pi)
-        dyaw = np.where(dyaw > math.pi, dyaw - 2.0 * math.pi, dyaw)
-        total += cfg.lambda_yaw * dyaw ** 2
-        total += cfg.lambda_smooth * ((v - pv) ** 2 + (w - pw) ** 2)
-        pv, pw = v, w
-    best = int(np.argmin(total))
-    return z_all[best].copy(), float(total[best])
+    return RetargetSolution(cmds, *ro.costs(), iters, conv)
 
 
 def chain_windows(start: Pose2, desired: Sequence[Pose2], sizes: Iterable[int],
@@ -442,21 +440,20 @@ def write_command_file(path, solutions: Sequence[RetargetSolution],
     if len(walk.waypoints) != n_cmds + 1:
         raise InvalidArgumentError(
             f"waypoint count {len(walk.waypoints)} is not command count {n_cmds} + 1")
+    objective = " ".join(f"{k}={getattr(cfg, k)!r}" for k in OBJECTIVE)
+    rows = ["# window v omega", f"#! {objective}",
+            f"#! recording_sha256={walk.recording_sha256}"]
+    rows += [f"#! waypoint={i} x={p.x!r} y={p.y!r} theta={p.theta!r}"
+             for i, p in enumerate(walk.waypoints)]
+    for i, sol in enumerate(solutions):
+        rows.append(
+            f"#! window={i} cost_total={sol.cost_total!r} "
+            f"cost_pos={sol.cost_pos!r} cost_yaw={sol.cost_yaw!r} "
+            f"cost_smooth={sol.cost_smooth!r} iterations={sol.iterations} "
+            f"converged={int(sol.converged)}")
+        rows += [f"{i} {c.v!r} {c.omega!r}" for c in sol.cmds]
     with open(path, "w") as fh:
-        objective = " ".join(f"{k}={getattr(cfg, k)!r}" for k in OBJECTIVE)
-        fh.write(f"# window v omega\n#! {objective}\n"
-                 f"#! recording_sha256={walk.recording_sha256}\n")
-        for i, p in enumerate(walk.waypoints):
-            fh.write(f"#! waypoint={i} x={p.x!r} y={p.y!r} theta={p.theta!r}\n")
-        for i, sol in enumerate(solutions):
-            fh.write(
-                f"#! window={i} cost_total={sol.cost_total!r} "
-                f"cost_pos={sol.cost_pos!r} cost_yaw={sol.cost_yaw!r} "
-                f"cost_smooth={sol.cost_smooth!r} iterations={sol.iterations} "
-                f"converged={int(sol.converged)}\n"
-            )
-            for c in sol.cmds:
-                fh.write(f"{i} {c.v!r} {c.omega!r}\n")
+        fh.write("\n".join(rows) + "\n")
 
 
 def _number(raw: str) -> float:

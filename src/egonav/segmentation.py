@@ -330,8 +330,7 @@ def write_phase_file(path, track: PhaseTrack, model: Optional[GmmModel],
         "seed": seed,
     }
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1) + "\n")
 
 
 def _gmm_field(g: dict, name: str, shape: Optional[tuple]) -> np.ndarray:

@@ -244,8 +244,7 @@ def write_sim_file(path, result: SimResult) -> None:
         "poses": [[p.x, p.y, p.theta] for p in result.poses],
     }
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1) + "\n")
 
 
 def read_sim_file(path) -> dict:

@@ -321,6 +321,19 @@ class TestPipeline:
         assert "not all finite" in capsys.readouterr().err
         assert not (art / "sim.json").exists()
 
+    def test_tiny_dt_retargets_without_a_warning(self, tmp_path, capsys):
+        # the finite-difference start divides by dt and overflows, which the
+        # clip to the bounds then absorbs
+        art = straight_walk(tmp_path)
+        cfg = tmp_path / "tiny.txt"
+        cfg.write_text("retarget.dt = 1e-320\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["retarget", str(art / "recording.jsonl"), "--out",
+                         str(art / "commands.txt"), "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_end_to_end_tracks_waypoints(self, workdir):
         art = run_pipeline(workdir)
         sim = read_sim_file(art / "sim.json")

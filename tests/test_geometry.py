@@ -6,9 +6,10 @@ import pytest
 
 from egonav.errors import DegenerateOrientationError, InvalidArgumentError
 from egonav.geometry import (FORWARD_AXES, Pose2, VelocityCommand, compose,
-                             ground_pose, ground_poses, require_yaw, rollout,
-                             step, to_frame, to_frame_rows, wrap,
-                             yaw_quaternion)
+                             ground_pose, ground_poses, require_yaw, to_frame,
+                             to_frame_rows, wrap, yaw_quaternion)
+
+from oracles import rollout, step
 
 try:
     from hypothesis import example, given, settings, strategies as st

@@ -7,15 +7,16 @@ import pytest
 from egonav import retarget
 from egonav.cli import main
 from egonav.errors import InvalidArgumentError
-from egonav.geometry import Pose2, VelocityCommand, rollout, wrap
+from egonav.geometry import Pose2, VelocityCommand, wrap
 from egonav.ingest import WaypointTrack, extract_waypoints, serialize_recording
-from egonav.retarget import (OBJECTIVE, RetargetConfig, RetargetProblem, WalkRecord,
-                             _Window, brute_force, cost, gradient, read_command_file,
-                             read_replay, retarget_track, solve, window_rollout,
-                             write_command_file)
+from egonav.retarget import (OBJECTIVE, RetargetConfig, RetargetProblem,
+                             RetargetSolution, WalkRecord, _Window, cost, gradient,
+                             read_command_file, read_replay, retarget_track, solve,
+                             window_rollout, write_command_file)
 from egonav.simulator import simulate, spec_from_json, synthesize
 
 from conftest import two_zone_spec
+from oracles import brute_force, rollout
 from test_cli import E2E_SPEC
 
 CFG = RetargetConfig()
@@ -126,8 +127,11 @@ class TestCost:
 def test_windows_share_read_only_constant_blocks():
     rng = np.random.default_rng(4)
     a, b = _Window(random_problem(rng, 4)), _Window(random_problem(rng, 4))
-    assert a.weights is b.weights and a.low is b.low and a.jac is b.jac
-    assert not any(x.flags.writeable for x in (a.weights, a.low, a.jac))
+    blocks = ("weights", "low", "jac", "strict", "later")
+    assert all(getattr(a, name) is getattr(b, name) for name in blocks)
+    assert not any(getattr(a, name).flags.writeable for name in blocks)
+    assert np.array_equal(a.strict, np.tril(np.ones((4, 4)), k=-1))
+    assert a.later.tolist() == [[max(m, n) for n in range(4)] for m in range(4)]
     ro = a(np.zeros(8), jacobian=True)
     assert ro.J.flags.writeable and not np.shares_memory(ro.J, a.jac)
     assert _Window(random_problem(rng, 3)).jac.shape == (15, 3, 2)
@@ -444,6 +448,35 @@ def test_command_file_round_trip(tmp_path):
     assert cfg == CFG
     assert [s.cmds for s in back] == [s.cmds for s in sols]
     assert [s.cost_total for s in back] == [s.cost_total for s in sols]
+
+
+def test_command_file_text(tmp_path):
+    # the writer's bytes: the objective, the walk, then each window's record
+    # and commands, one row per line
+    sols = [RetargetSolution((VelocityCommand(1.0, -0.5), VelocityCommand(0.25, 0.0)),
+                             3.5, 2.0, 1.0, 0.5, 4, True),
+            RetargetSolution((VelocityCommand(-1.0, 3.0),), 0.125, 0.0, 0.125, 0.0,
+                             500, False)]
+    walk = WalkRecord("ab" * 32, (Pose2(0.0, 0.0, 0.0), Pose2(0.16, 0.0, 0.1),
+                                  Pose2(0.3, 0.02, -3.0), Pose2(0.1, 0.0, 3.1)))
+    path = tmp_path / "commands.txt"
+    write_command_file(path, sols, CFG, walk)
+    assert path.read_text() == (
+        "# window v omega\n"
+        "#! dt=0.16 lambda_pos=32.0 lambda_yaw=2.0 lambda_smooth=1.0 v_min=-1.0 "
+        "v_max=1.0 omega_min=-3.141592653589793 omega_max=3.141592653589793\n"
+        f"#! recording_sha256={'ab' * 32}\n"
+        "#! waypoint=0 x=0.0 y=0.0 theta=0.0\n"
+        "#! waypoint=1 x=0.16 y=0.0 theta=0.1\n"
+        "#! waypoint=2 x=0.3 y=0.02 theta=-3.0\n"
+        "#! waypoint=3 x=0.1 y=0.0 theta=3.1\n"
+        "#! window=0 cost_total=3.5 cost_pos=2.0 cost_yaw=1.0 cost_smooth=0.5 "
+        "iterations=4 converged=1\n"
+        "0 1.0 -0.5\n"
+        "0 0.25 0.0\n"
+        "#! window=1 cost_total=0.125 cost_pos=0.0 cost_yaw=0.125 cost_smooth=0.0 "
+        "iterations=500 converged=0\n"
+        "1 -1.0 3.0\n")
 
 
 class TestCommandFileErrors:

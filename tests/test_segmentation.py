@@ -313,6 +313,53 @@ def test_phase_file_round_trip(tmp_path):
     assert seed == 1
 
 
+def test_phase_file_text(tmp_path):
+    # the writer's bytes: one JSON object at indent 1, then a newline
+    model = GmmModel(np.array([1.0]), np.array([[0.5, -2.0]]),
+                     np.array([[[0.25, 0.0], [0.0, 1e-3]]]))
+    path = tmp_path / "phases.json"
+    write_phase_file(path, PhaseTrack(np.array([0, 1])), model, PhaseConfig(), 7)
+    assert path.read_text() == """{
+ "labels": [
+  0,
+  1
+ ],
+ "gmm": {
+  "weights": [
+   1.0
+  ],
+  "means": [
+   [
+    0.5,
+    -2.0
+   ]
+  ],
+  "covariances": [
+   [
+    [
+     0.25,
+     0.0
+    ],
+    [
+     0.0,
+     0.001
+    ]
+   ]
+  ]
+ },
+ "config": {
+  "tau_ratio": 2.0,
+  "tau_head": 0.4,
+  "tau_duration": 30,
+  "k_components": 2,
+  "tau_pdf": 0.001,
+  "epsilon": 1e-06
+ },
+ "seed": 7
+}
+"""
+
+
 if st is not None:
     @st.composite
     def gauss_cases(draw):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from egonav.errors import InvalidArgumentError
-from egonav.geometry import Pose2, VelocityCommand, rollout
+from egonav.geometry import Pose2, VelocityCommand
 from egonav.ingest import parse_recording, serialize_recording
 from egonav.retarget import RetargetConfig, RetargetProblem, RetargetSolution, cost
 from egonav.segmentation import MANIPULATION, NAVIGATION, PhaseTrack
@@ -14,6 +14,7 @@ from egonav.simulator import (SimResult, SynthSegment, SynthSpec,
                               spec_from_json, synthesize, write_sim_file)
 
 from conftest import two_zone_spec
+from oracles import rollout
 
 CFG = RetargetConfig()
 
@@ -190,3 +191,33 @@ def test_sim_file_round_trip(tmp_path):
     assert obj["pos_rmse"] == res.pos_rmse
     assert obj["cost_discrepancy"] == res.cost_discrepancy
     assert len(obj["poses"]) == 5
+
+
+def test_sim_file_text(tmp_path):
+    # the writer's bytes: one JSON object at indent 1, then a newline
+    res = SimResult((Pose2(0.0, 0.1, -0.5), Pose2(0.25, 0.125, 3.0)),
+                    0.5, 0.75, 0.1, (1.0, 2.0, 3.5), 0.0)
+    path = tmp_path / "sim.json"
+    write_sim_file(path, res)
+    assert path.read_text() == """{
+ "pos_rmse": 0.5,
+ "pos_max": 0.75,
+ "yaw_rmse": 0.1,
+ "cost_pos": 1.0,
+ "cost_yaw": 2.0,
+ "cost_smooth": 3.5,
+ "cost_discrepancy": 0.0,
+ "poses": [
+  [
+   0.0,
+   0.1,
+   -0.5
+  ],
+  [
+   0.25,
+   0.125,
+   3.0
+  ]
+ ]
+}
+"""
