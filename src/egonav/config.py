@@ -18,13 +18,14 @@ from dataclasses import dataclass, field, fields
 from .chunks import TARGET_LEN
 from .errors import ConfigError, InvalidArgumentError
 from .geometry import FORWARD_AXES
+from .ingest import DEFAULT_D_THRESH
 from .retarget import RetargetConfig
 from .segmentation import PhaseConfig
 
 
 @dataclass(frozen=True)
 class IngestConfig:
-    d_thresh: float = 0.25   # m, waypoint displacement trigger
+    d_thresh: float = DEFAULT_D_THRESH  # m, waypoint displacement trigger
     k_h: int = 10            # max waypoint history
     forward_axis: str = "+x"
     fps: float = 30.0

@@ -478,13 +478,14 @@ def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecor
     The objective is a :class:`RetargetConfig` of the header's ``OBJECTIVE``
     values; its solver fields keep their defaults. A malformed row or '#!'
     token, a value that is not a finite number, a missing, second or late
-    header, a command outside the header's bounds, a window or waypoint
-    number repeated or skipped, a command not under its window's '#!
-    window=' record, a window without commands, a missing or second
-    recording digest or waypoints that are not one more than the commands
-    raises :class:`InvalidArgumentError`. A file without the objective row
-    or the walk record, written before either existed, asks for retarget
-    to be re-run.
+    header, a window record with a negative cost or iteration count or a
+    ``converged`` other than 0 or 1, a command outside the header's bounds,
+    a window or waypoint number repeated or skipped, a command not under its
+    window's '#! window=' record, a window without commands, a missing or
+    second recording digest or waypoints that are not one more than the
+    commands raises :class:`InvalidArgumentError`. A file without the
+    objective row or the walk record, written before either existed, asks
+    for retarget to be re-run.
     """
     metas: list[tuple] = []
     cmds: list[list[VelocityCommand]] = []
@@ -500,10 +501,15 @@ def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecor
                     fields = dict(kv.split("=") for kv in line[2:].split())
                     if "window" in fields:
                         _index(fields, "window", len(metas))
-                        metas.append((
-                            *(_number(fields[k]) for k in (
-                                "cost_total", "cost_pos", "cost_yaw", "cost_smooth")),
-                            int(fields["iterations"]), bool(int(fields["converged"]))))
+                        costs = [_number(fields[k]) for k in (
+                            "cost_total", "cost_pos", "cost_yaw", "cost_smooth")]
+                        iterations = int(fields["iterations"])
+                        converged = int(fields["converged"])
+                        if min(costs) < 0 or iterations < 0 or converged not in (0, 1):
+                            raise InvalidArgumentError(
+                                "a window record needs costs >= 0, iterations >= 0 "
+                                "and converged 0 or 1")
+                        metas.append((*costs, iterations, bool(converged)))
                         cmds.append([])
                     elif "waypoint" in fields:
                         _index(fields, "waypoint", len(waypoints))

@@ -9,12 +9,11 @@ The EM fit is written here rather than delegated to sklearn because the
 tests need bit-exact seeded determinism, an inspectable log-likelihood
 history, and a fixed covariance floor.
 
-The E-step holds the log joint densities as (K, n) rows, one per
-component, so the log-sum-exp takes its maximum and its sum with whole-row
-operations instead of per-point reductions over K columns. The sum adds
-the rows in the order numpy's pairwise sum adds a point's K values, so it
-equals the point-major form (kept in the tests as the reference) bit for
-bit. The M-step gets the responsibilities as a C-order (n, K) array.
+The E-step evaluates the K components in one broadcast call, as (K, n)
+rows, and its log-sum-exp leaves the sum over components to numpy (row by
+row below 8 components, the point-major sum itself from 8 on), so the fit
+equals the point-major form kept in the tests bit for bit. The M-step gets
+the responsibilities as a C-order (n, K) array.
 """
 
 from __future__ import annotations
@@ -148,24 +147,26 @@ def _kmeanspp_init(points: np.ndarray, k: int,
     return centers
 
 
-def _log_gauss(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of a bivariate normal at each point."""
-    dx = points[:, 0] - mean[0]
-    dy = points[:, 1] - mean[1]
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
+def _log_gauss(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Bivariate normal log densities at each point: (n,) values for a (2,)
+    mean and (2, 2) covariance, (K, n) rows for K of them stacked."""
+    mx, my = np.moveaxis(means, -1, 0)[..., None]
+    (a, b), (c, d) = np.moveaxis(covs, (-2, -1), (0, 1))[..., None]
+    dx = points[:, 0] - mx
+    dy = points[:, 1] - my
+    det = a * d - b * c
+    i00, i01, i10, i11 = d / det, -b / det, -c / det, a / det
     # diff @ inv @ diff per point, rounded as einsum("ni,ij,nj->n") rounds
     # it: four products (d_i * inv_ij) * d_j, added in (i, j) order, except
     # that for up to two points einsum sums each i's pair and then the sums
-    maha = dx * inv[0, 0]
+    maha = dx * i00
     maha *= dx
-    if len(maha) <= 2:
-        maha += dx * inv[0, 1] * dy
-        maha += dy * inv[1, 0] * dx + dy * inv[1, 1] * dy
+    if len(points) <= 2:
+        maha += dx * i01 * dy
+        maha += dy * i10 * dx + dy * i11 * dy
     else:
         term = np.empty_like(maha)
-        for di, inv_ij, dj in ((dx, inv[0, 1], dy), (dy, inv[1, 0], dx),
-                               (dy, inv[1, 1], dy)):
+        for di, inv_ij, dj in ((dx, i01, dy), (dy, i10, dx), (dy, i11, dy)):
             np.multiply(di, inv_ij, out=term)
             term *= dj
             maha += term
@@ -177,40 +178,15 @@ def _log_gauss(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndar
 
 def _log_joint(model: GmmModel, points: np.ndarray) -> np.ndarray:
     """log w_j + log N(x | mean_j, cov_j) as (K, n) rows, one per component."""
-    return np.stack([
-        np.log(model.weights[j]) + _log_gauss(points, model.means[j],
-                                              model.covariances[j])
-        for j in range(model.k)
-    ])
+    return np.log(model.weights)[:, None] + _log_gauss(points, model.means,
+                                                       model.covariances)
 
 
 def _component_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum of the (K, n) component rows, per point.
-
-    Bit-identical to ``cols.sum(axis=1)`` of the same values held as a
-    C-order (n, K) array ``cols``. numpy sums each point's K values
-    pairwise: below 8 in sequence; up to 128 in eight running partial
-    sums, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
-    then the rest in sequence; above 128 as the sum of two halves split
-    at a multiple of 8.
-    """
-    k = len(rows)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _component_sum(rows[:half]) + _component_sum(rows[half:])
-    if k < 8:
-        total = rows[0].copy()
-        for row in rows[1:]:
-            total += row
-        return total
-    r = rows[:8].copy()
-    stop = k - k % 8
-    for i in range(8, stop, 8):
-        r += rows[i:i + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in rows[stop:]:
-        total += row
-    return total
+    """Sum of the (K, n) component rows per point, bit-identical to the
+    point-major (n, K) sum along axis 1: numpy adds fewer than 8 values in
+    sequence, as the row-by-row sum does; from 8 on it is that sum."""
+    return rows.sum(axis=0) if len(rows) < 8 else np.ascontiguousarray(rows.T).sum(axis=1)
 
 
 def _logsumexp(log_p: np.ndarray) -> np.ndarray:

@@ -260,8 +260,8 @@ def read_sim_file(path) -> dict:
         if key not in obj:
             raise InvalidArgumentError(f"{path}: missing field {key!r}")
     for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy"):
-        if not finite_number(obj[key]):
-            raise InvalidArgumentError(f"{path}: {key!r} must be a finite number")
+        if not (finite_number(obj[key]) and obj[key] >= 0):
+            raise InvalidArgumentError(f"{path}: {key!r} must be a finite number >= 0")
     if not (isinstance(obj["poses"], list) and all(
             isinstance(p, list) and len(p) == 3 and all(map(finite_number, p))
             for p in obj["poses"])):

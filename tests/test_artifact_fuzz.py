@@ -2,8 +2,8 @@
 
 Every exit is a documented code, with no traceback and no warning. A
 ``synth`` that exits 0 wrote a recording and a truth file that read back,
-and a ``report`` that exits 0 wrote a ``report.json`` of strict JSON
-(skipped without hypothesis).
+and a ``report`` that exits 0 wrote a ``report.json`` of strict JSON whose
+tracking scores are not negative (skipped without hypothesis).
 """
 
 import contextlib
@@ -168,4 +168,6 @@ def test_artifacts_through_report_exit_with_a_documented_code(artifacts, data):
             (art / target).write_text(text)
         rep = Path(tmp) / "rep"
         if _run(["report", str(art), "--out", str(rep), "--format", "json"]) == 0:
-            _strict((rep / "report.json").read_text())
+            summary = _strict((rep / "report.json").read_text())
+            for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy"):
+                assert summary[key] >= 0, (key, summary[key])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,6 +10,7 @@ import pytest
 from egonav import cli, ingest, report
 from egonav.cli import main
 from egonav.config import load_config
+from egonav.errors import InvalidArgumentError
 from egonav.geometry import Pose2
 from egonav.ingest import extract_waypoints, parse_recording
 from egonav.retarget import read_command_file, read_replay
@@ -579,6 +581,18 @@ class TestArtifactReaders:
         assert code == 2
         assert str(sim) in err and repr(key) in err
         assert not (workdir / "rep2" / "report.txt").exists()
+
+    @pytest.mark.parametrize("key", ["pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy"])
+    def test_sim_file_negative_score(self, workdir, capsys, key):
+        run_pipeline(workdir)
+        sim = workdir / "art" / "sim.json"
+        self.edit_json(sim, lambda obj: obj.__setitem__(key, -3.0))
+        code, err = self.report(workdir, capsys)
+        assert code == 2
+        assert str(sim) in err and f"{key!r} must be a finite number >= 0" in err
+        assert not (workdir / "rep2" / "report.txt").exists()
+        with pytest.raises(InvalidArgumentError, match=re.escape(repr(key))):
+            read_sim_file(sim)
 
     def test_sim_file_malformed_pose(self, workdir, capsys):
         run_pipeline(workdir)

@@ -123,14 +123,16 @@ def test_candidate_mask_matches_naive_reference(speeds, tau_duration):
 
 @st.composite
 def command_files(draw):
-    """An objective, up to 4 solutions whose commands lie inside its bounds,
-    and a walk record of arbitrary finite waypoints, one more than the commands."""
+    """An objective, up to 4 solutions whose commands lie inside its bounds
+    and whose costs are finite and not negative, and a walk record of
+    arbitrary finite waypoints, one more than the commands."""
     cfg = draw(objectives())
     cmd = st.builds(VelocityCommand, st.floats(cfg.v_min, cfg.v_max),
                     st.floats(cfg.omega_min, cfg.omega_max))
+    cost = st.floats(0.0, allow_infinity=False)
     solution = st.builds(
         RetargetSolution, st.lists(cmd, min_size=1, max_size=4).map(tuple),
-        finite, finite, finite, finite, st.integers(0, 10**6), st.booleans())
+        cost, cost, cost, cost, st.integers(0, 10**6), st.booleans())
     sols = draw(st.lists(solution, max_size=4))
     n = sum(len(sol.cmds) for sol in sols) + 1
     waypoints = st.lists(st.builds(Pose2, finite, finite, finite), min_size=n, max_size=n)

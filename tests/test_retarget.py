@@ -571,6 +571,20 @@ class TestCommandFileErrors:
             f"{tmp_path / 'commands.txt'} has no recording_sha256 row; re-run retarget"
             in err for err in errs)
 
+    @pytest.mark.parametrize("old, new", [
+        ("converged=1", "converged=5"),
+        ("converged=1", "converged=-1"),
+        ("iterations=3", "iterations=-7"),
+        ("cost_total=0.5", "cost_total=-0.5"),
+        ("cost_yaw=0.125", "cost_yaw=-3.0"),
+    ], ids=["converged-5", "converged-minus-1", "negative-iterations",
+            "negative-cost-total", "negative-cost-yaw"])
+    def test_impossible_window_record(self, tmp_path, capsys, old, new):
+        text = self.OBJECTIVE_ROW + self.WALK + self.W0.replace(old, new)
+        self.check(tmp_path, text)
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'commands.txt'} line 5: a window record needs" in err
+
     def test_metadata_token_without_equals(self, tmp_path):
         self.check(tmp_path, "#! window=0 cost_total\n" + self.ROWS)
 

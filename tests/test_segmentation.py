@@ -394,11 +394,27 @@ else:
         pytest.skip("hypothesis is not installed")
 
 
+@pytest.mark.parametrize("k", [1, 2, 6, 8, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_stacked_log_gauss_equals_one_component_rows(k, n):
+    rng = np.random.default_rng(100 * k + n)
+    points = rng.normal(0.0, 3.0, (n, 2))
+    means = rng.normal(0.0, 3.0, (k, 2))
+    half = rng.normal(0.0, 1.0, (k, 2, 2))
+    covs = half @ half.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    rows = segmentation._log_gauss(points, means, covs)
+    assert rows.shape == (k, n)
+    assert rows.tobytes() == np.stack([
+        segmentation._log_gauss(points, mean, cov)
+        for mean, cov in zip(means, covs)]).tobytes()
+
+
 def test_segment_unchanged_with_einsum_log_gauss(monkeypatch):
     ep, _ = synthesize(two_zone_spec(seed=5))
     cfg = PhaseConfig(k_components=3)
     track, model = segment(ep, cfg, seed=3)
-    monkeypatch.setattr(segmentation, "_log_gauss", reference_log_gauss)
+    monkeypatch.setattr(segmentation, "_log_gauss", lambda points, means, covs: np.stack([
+        reference_log_gauss(points, mean, cov) for mean, cov in zip(means, covs)]))
     ref_track, ref_model = segment(ep, cfg, seed=3)
     assert model.log_likelihoods == ref_model.log_likelihoods
     assert len(model.log_likelihoods) > 2
