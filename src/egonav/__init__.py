@@ -1,13 +1,13 @@
 """egonav: retarget egocentric walking trajectories to differential-drive commands."""
 
-from .geometry import Pose2, VelocityCommand, wrap, compose, to_frame
+from .geometry import Pose2, VelocityCommand, wrap
 from .ingest import (Episode, WaypointTrack, parse_recording,
                      serialize_recording, filter_confidence, extract_waypoints)
 from .segmentation import (PhaseConfig, GmmModel, PhaseTrack, velocities,
                            candidate_mask, gmm_fit, gmm_pdf, classify, segment,
                            MANIPULATION, NAVIGATION)
 from .retarget import (RetargetConfig, RetargetProblem, RetargetSolution,
-                       cost, gradient, solve, retarget_track)
+                       cost, solve, retarget_track)
 from .chunks import ActionChunk, subsample, upsample, modulate, blend_yaw
 from .simulator import (SimResult, SynthSpec, SynthSegment, simulate,
                         synthesize, score_segmentation)

@@ -11,7 +11,9 @@ one interpreter lock. ``retarget`` records in its command file the
 digest of the recording and the waypoints it solved for, so
 ``simulate`` replays from the command file alone: it hashes the recording
 it is given to check that it is that one, and does not parse it. Its
-``--config`` is loaded and checked, but it reads no key of it. ``report``
+``--config`` is loaded and checked, but it reads no key of it; it warns on
+stderr, and still exits 0, when more than ``simulator.SATURATION_WARN`` of
+the commands sit on a bound. ``report``
 draws the walk from the command file too, and the rollout from
 ``sim.json``, which holds only what the replay computed.
 """
@@ -206,6 +208,14 @@ def cmd_simulate(args, cfg) -> int:
     result = simulator.simulate(walk.waypoints[0], solutions, walk.waypoints[1:],
                                 objective)
     simulator.write_sim_file(args.out, result)
+    n_cmds = len(walk.waypoints) - 1
+    saturated = sum(c.v in (objective.v_min, objective.v_max)
+                    or c.omega in (objective.omega_min, objective.omega_max)
+                    for sol in solutions for c in sol.cmds)
+    if saturated > simulator.SATURATION_WARN * n_cmds:
+        print(f"egonav: warning: {saturated} of {n_cmds} commands sit on a v or "
+              f"omega bound, so they cannot track this walk (pos_rmse "
+              f"{result.pos_rmse:.3g} m)", file=sys.stderr)
     return EXIT_OK
 
 

@@ -2,7 +2,7 @@
 
 A config file is plain text, one ``section.key = value`` pair per line
 ('#' comments allowed). An empty file, or none, reproduces the published
-defaults for every stage. Unknown keys are rejected.
+defaults for every stage. Unknown keys, and a key given twice, are rejected.
 
     ingest.d_thresh = 0.25
     retarget.lambda_pos = 32.0
@@ -89,9 +89,10 @@ def _coerce(raw: str, typ, key: str):
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Parse config text; unknown keys or malformed lines raise ConfigError."""
+    """Parse config text; unknown, repeated or malformed lines raise ConfigError."""
     values: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     seed = 0
+    seen: dict[str, int] = {}  # key -> the line that gave it
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -99,6 +100,10 @@ def parse_config(text: str) -> PipelineConfig:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {line_no}: key {key!r} given twice, "
+                              f"on lines {seen[key]} and {line_no}")
+        seen[key] = line_no
         if key == "seed":
             seed = _coerce(raw, int, key)
             continue

@@ -3,7 +3,7 @@
 Poses live in SE(2) as (x, y, theta) with theta kept in (-pi, pi].
 The base motion model is the standard unicycle stepped with explicit
 Euler. The optimizer and the simulator share one vectorized form of it
-(:func:`egonav.retarget.window_rollout`), which sums headings instead of
+(``egonav.retarget._Window.rollout``), which sums headings instead of
 wrapping them after every step; the tests keep a scalar step-by-step
 rollout as its reference.
 
@@ -13,8 +13,7 @@ collector. Being a tuple, a ``Pose2`` compares equal to the plain 3-tuple
 ``(x, y, theta)`` with the same values.
 
 :func:`ground_poses` projects a whole array of head poses onto the
-ground at once and equals the scalar :func:`ground_pose` row by row, bit
-for bit; :func:`to_frame_rows` moves many poses into one reference frame.
+ground at once; :func:`to_frame_rows` moves many poses into one frame.
 """
 
 from __future__ import annotations
@@ -75,32 +74,9 @@ class VelocityCommand:
     omega: float
 
 
-def compose(reference: Pose2, relative: Pose2) -> Pose2:
-    """Express a pose given relative to ``reference`` in the world frame."""
-    c, s = math.cos(reference.theta), math.sin(reference.theta)
-    return Pose2(
-        reference.x + c * relative.x - s * relative.y,
-        reference.y + s * relative.x + c * relative.y,
-        wrap(reference.theta + relative.theta),
-    )
-
-
-def to_frame(reference: Pose2, target: Pose2) -> Pose2:
-    """Express ``target`` in the coordinate frame of ``reference``.
-
-    Inverse of :func:`compose` up to rounding: compose(ref, to_frame(ref, t))
-    equals t to within a few ulps of the coordinates, not bit for bit.
-    """
-    return to_frame_rows(reference, (target,))[0]
-
-
 def to_frame_rows(reference: Sequence[float],
                   targets: Iterable[Sequence[float]]) -> tuple[Pose2, ...]:
-    """Express each (x, y, theta) of ``targets`` in the frame of ``reference``.
-
-    :func:`to_frame` is this function on one target, so the two agree
-    bit for bit.
-    """
+    """Express each (x, y, theta) of ``targets`` in the frame of ``reference``."""
     rx, ry, rt = reference
     c, s = math.cos(rt), math.sin(rt)
     new = tuple.__new__
@@ -126,30 +102,16 @@ def rotate_vector(q: tuple[float, float, float, float],
     )
 
 
-def ground_pose(position: Sequence[float], orientation: Sequence[float],
-                forward_axis: str = "+x") -> Pose2:
-    """Project a head position and unit quaternion (w, x, y, z) onto the ground.
-
-    The planar position comes from (x, y); yaw is the atan2 of the rotated
-    forward axis projected onto the plane. Which device axis points
-    "forward" depends on the sensor mounting, so it is configurable.
-    """
-    fx, fy, fz = rotate_vector(orientation, _axis(forward_axis))
-    if math.hypot(fx, fy) < 1e-6:
-        raise DegenerateOrientationError(_DEGENERATE)
-    return Pose2(position[0], position[1], wrap(math.atan2(fy, fx)))
-
-
 def ground_poses(positions: np.ndarray, orientations: np.ndarray,
                  forward_axis: str = "+x") -> np.ndarray:
-    """:func:`ground_pose` of each row of (n, 3) positions and (n, 4) quaternions.
+    """Ground rows (x, y, yaw) of (n, 3) head positions and (n, 4) quaternions.
 
-    Returns (n, 3) rows (x, y, yaw), each equal to ``ground_pose``'s
-    result bit for bit: :func:`rotate_vector` runs on whole columns in
-    its own order of operations, the degeneracy test takes
-    ``math.hypot`` and each yaw is ``wrap(math.atan2(fy, fx))``. A row
-    whose yaw is undefined gets a NaN yaw instead of raising; see
-    :func:`require_yaw`.
+    The yaw is that of the rotated ``forward_axis`` projected onto the plane.
+    Each row equals the scalar ``ground_pose`` of ``tests/oracles.py`` bit
+    for bit: :func:`rotate_vector` runs on whole columns in its own order of
+    operations, the degeneracy test takes ``math.hypot`` and each yaw is
+    ``wrap(math.atan2(fy, fx))``. A row whose yaw is undefined gets a NaN
+    yaw instead of raising; see :func:`require_yaw`.
     """
     fx, fy, fz = rotate_vector(orientations.T, _axis(forward_axis))
     fx, fy = fx.tolist(), fy.tolist()

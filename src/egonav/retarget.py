@@ -4,7 +4,7 @@ Finds bounded (v, omega) commands whose Euler rollout tracks a window of
 K planar waypoints, minimizing the sum of squares of 5K residuals: the
 x, y and wrapped yaw errors and the first differences of v and omega,
 weighted by the square roots of lambda_pos, lambda_yaw, lambda_smooth.
-:func:`window_rollout` yields them and their closed-form Jacobian J.
+``_Window.rollout`` yields them, and ``_Window.jacobian`` their Jacobian J.
 :func:`solve` runs Bertsekas's epsilon-active-set projected Newton method
 (SIAM J. Control Optim. 20(2), 1982) with an Armijo search along the
 projected arc, from two deterministic starts. Its Hessian is the Gauss-Newton
@@ -34,7 +34,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,9 +109,8 @@ class RetargetSolution:
 class WindowRollout(NamedTuple):
     """Euler rollout of one window's commands against its waypoints."""
 
-    states: np.ndarray       # (3, K) x, y, unwrapped theta after each command
-    r: np.ndarray            # (5K,) residuals, blocks x, y, yaw, dv, domega
-    J: Optional[np.ndarray]  # (5K, 2K) dr/dz for z = [v0, omega0, v1, ...]
+    states: np.ndarray  # (3, K) x, y, unwrapped theta after each command
+    r: np.ndarray       # (5K,) residuals, blocks x, y, yaw, dv, domega
 
     def costs(self) -> tuple[float, float, float, float]:
         """(total, pos, yaw, smooth) parts of the objective."""
@@ -171,7 +170,8 @@ class _Window:
         self.before[3:, 0] = prob.prev_cmd.v, prob.prev_cmd.omega
 
     def rollout(self, z) -> tuple[WindowRollout, tuple]:
-        """The rollout of ``z`` without J, and the cos, sin and sums J is built from."""
+        """The rollout of ``z`` (K x 2 of v, omega) without J, and the cos, sin and
+        sums J is built from; J takes the yaw error's wrap as the identity."""
         K, dt = self.K, self.dt
         z = np.asarray(z, dtype=float).reshape(-1, 2)
         if len(z) != K:
@@ -198,10 +198,11 @@ class _Window:
         r = now - self.before
         r[2] -= TWO_PI * np.rint(r[2] / TWO_PI)
         r *= self.weights
-        return WindowRollout(now[:3], r.ravel(), None), (trig, sums)
+        return WindowRollout(now[:3], r.ravel()), (trig, sums)
 
     def jacobian(self, parts: tuple) -> np.ndarray:
-        """J at the point whose :meth:`rollout` returned ``parts``."""
+        """J = dr/dz, (5K, 2K) for z = [v0, omega0, v1, ...], at the point
+        whose :meth:`rollout` returned ``parts``."""
         K = self.K
         trig, sums = parts
         J = self.jac.copy()
@@ -216,10 +217,6 @@ class _Window:
         d *= self.turn
         np.multiply(d, self.low, out=pos[..., 1])
         return J.reshape(5 * K, 2 * K)
-
-    def __call__(self, z, jacobian: bool = False) -> WindowRollout:
-        ro, parts = self.rollout(z)
-        return ro._replace(J=self.jacobian(parts)) if jacobian else ro
 
     def curvature(self, z, ro: WindowRollout) -> np.ndarray:
         """S = sum_i r_i Hess(r_i) at ``z``: the cost's Hessian is 2 (J^T J + S).
@@ -249,24 +246,9 @@ class _Window:
         return S.reshape(2 * K, 2 * K)
 
 
-def window_rollout(z, prob: RetargetProblem, jacobian: bool = False) -> WindowRollout:
-    """Roll commands ``z`` (K x 2 of v, omega) out from ``prob.start``.
-
-    Heading is the start heading plus dt times the running sum of omega.
-    The wrap of the yaw error is differentiated as the identity.
-    """
-    return _Window(prob)(z, jacobian)
-
-
 def cost(z, prob: RetargetProblem) -> tuple[float, float, float, float]:
     """Evaluate the tracking objective; returns (total, pos, yaw, smooth)."""
-    return window_rollout(z, prob).costs()
-
-
-def gradient(z, prob: RetargetProblem) -> np.ndarray:
-    """Exact gradient 2 J^T r of :func:`cost`, shaped like the commands (K x 2)."""
-    ro = window_rollout(z, prob, jacobian=True)
-    return (2.0 * (ro.r @ ro.J)).reshape(-1, 2)
+    return _Window(prob).rollout(z)[0].costs()
 
 
 def _fd_inversion_init(prob: RetargetProblem) -> np.ndarray:
@@ -396,7 +378,7 @@ def chain_windows(start: Pose2, desired: Sequence[Pose2], sizes: Iterable[int],
         except NumericalFailureError as exc:
             raise NumericalFailureError(
                 f"window {i}: {exc}", exc.last_iterate) from exc
-        ro = window_rollout([[c.v, c.omega] for c in sol.cmds], prob)
+        ro = _Window(prob).rollout([[c.v, c.omega] for c in sol.cmds])[0]
         yield sol, ro
         start, prev_cmd = ro.poses()[-1], sol.cmds[-1]
         w0 += size

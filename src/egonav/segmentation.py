@@ -200,13 +200,6 @@ def _posterior(log_p: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.exp(log_p - log_norm).T)
 
 
-def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
-    """E-step posterior component probabilities, one row per point."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    log_p = _log_joint(model, points)
-    return _posterior(log_p, _logsumexp(log_p))
-
-
 def gmm_fit(points, cfg: PhaseConfig, seed: int = 0) -> GmmModel:
     """Fit a K-component mixture by EM with k-means++ initialization.
 

@@ -29,6 +29,9 @@ MAX_FRAMES = 10**6     # the most frames a spec may make: about 9 h at 30 fps
 OUT_OF_RANGE = ("the replay's scores are not all finite: the objective or the "
                 "commands are out of float range")
 SPEC_OUT_OF_RANGE = "the spec's walk leaves the float range"
+# `egonav simulate` warns when more than this share of the replayed commands
+# sit on a bound (v or omega at one of its limits): they cannot track the walk
+SATURATION_WARN = 0.5
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,20 @@
-"""Test-only oracles: the scalar unicycle rollout and a brute-force grid minimizer.
+"""Test-only oracles: references the tests compare egonav's production code against.
 
 :func:`step` and :func:`rollout` advance a pose one explicit Euler step
 at a time, wrapping the heading after each; egonav's vectorized rollout
-(``retarget.window_rollout``) sums headings instead, so the two agree to
+(``retarget._Window.rollout``) sums headings instead, so the two agree to
 rounding, not bit for bit. :func:`brute_force` enumerates a grid of
 command sequences with its own batched rollout, an independent oracle
 for the solver on small instances.
+
+:func:`compose` is the inverse of ``geometry.to_frame_rows`` up to
+rounding; :func:`ground_pose` projects one head pose onto the ground, the
+scalar form that ``geometry.ground_poses`` equals row by row, bit for
+bit. :func:`gradient` is 2 J^T r from the production
+``retarget._Window.jacobian``, which the acceptance tests compare with
+finite differences of ``retarget.cost``; :func:`responsibilities` is the
+E-step posterior from the production ``segmentation`` log-joint and
+posterior.
 """
 
 import math
@@ -13,9 +22,49 @@ from typing import Sequence
 
 import numpy as np
 
-from egonav.errors import InvalidArgumentError
-from egonav.geometry import Pose2, VelocityCommand, wrap
-from egonav.retarget import RetargetProblem
+from egonav import segmentation
+from egonav.errors import DegenerateOrientationError, InvalidArgumentError
+from egonav.geometry import (Pose2, VelocityCommand, _axis, _DEGENERATE, rotate_vector,
+                             wrap)
+from egonav.retarget import RetargetProblem, _Window
+
+
+def compose(reference: Pose2, relative: Pose2) -> Pose2:
+    """Express a pose given relative to ``reference`` in the world frame."""
+    c, s = math.cos(reference.theta), math.sin(reference.theta)
+    return Pose2(
+        reference.x + c * relative.x - s * relative.y,
+        reference.y + s * relative.x + c * relative.y,
+        wrap(reference.theta + relative.theta),
+    )
+
+
+def ground_pose(position: Sequence[float], orientation: Sequence[float],
+                forward_axis: str = "+x") -> Pose2:
+    """Project a head position and unit quaternion (w, x, y, z) onto the ground.
+
+    The planar position comes from (x, y); yaw is the atan2 of the rotated
+    forward axis projected onto the plane. An undefined yaw raises
+    :class:`DegenerateOrientationError`.
+    """
+    fx, fy, fz = rotate_vector(orientation, _axis(forward_axis))
+    if math.hypot(fx, fy) < 1e-6:
+        raise DegenerateOrientationError(_DEGENERATE)
+    return Pose2(position[0], position[1], wrap(math.atan2(fy, fx)))
+
+
+def gradient(z, prob: RetargetProblem) -> np.ndarray:
+    """Exact gradient 2 J^T r of ``retarget.cost``, shaped like the commands (K x 2)."""
+    model = _Window(prob)
+    ro, parts = model.rollout(z)
+    return (2.0 * (ro.r @ model.jacobian(parts))).reshape(-1, 2)
+
+
+def responsibilities(model: segmentation.GmmModel, points) -> np.ndarray:
+    """E-step posterior component probabilities, one row per point."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    log_p = segmentation._log_joint(model, points)
+    return segmentation._posterior(log_p, segmentation._logsumexp(log_p))
 
 
 def step(pose: Pose2, cmd: VelocityCommand, dt: float) -> Pose2:

@@ -2,9 +2,9 @@
 
 It is the reference for ``egonav.retarget``'s solver, which must return
 the same solution as :func:`solve` here, bit for bit, on every problem.
-Its :class:`_Window` methods, :func:`_gauss_newton` and :func:`solve` are
-kept unchanged; unlike the production solver, :func:`solve` rolls the
-winning start out once more to take its costs.
+Its :class:`_Window` methods, :func:`_gauss_newton` and :func:`solve`
+compute what they computed then; unlike the production solver,
+:func:`solve` rolls the winning start out once more to take its costs.
 """
 
 import functools
@@ -71,7 +71,7 @@ class _Window:
         r[3:, 0] = z[0] - self.prev
         np.subtract(z[1:].T, z[:-1].T, out=r[3:, 1:])
         r *= self.weights
-        return WindowRollout(states, r.ravel(), None), (cos, sin, cx, sy)
+        return WindowRollout(states, r.ravel()), (cos, sin, cx, sy)
 
     def jacobian(self, parts: tuple) -> np.ndarray:
         """J at the point whose :meth:`rollout` returned ``parts``."""
@@ -86,10 +86,6 @@ class _Window:
         J[K:2 * K, :, 0] = f * sin * self.low
         J[K:2 * K, :, 1] = f * dt * (cx[:, None] - cx) * self.low
         return J.reshape(5 * K, 2 * K)
-
-    def __call__(self, z, jacobian: bool = False) -> WindowRollout:
-        ro, parts = self.rollout(z)
-        return ro._replace(J=self.jacobian(parts)) if jacobian else ro
 
     def curvature(self, z, ro: WindowRollout) -> np.ndarray:
         """S = sum_i r_i Hess(r_i) at ``z``: the cost's Hessian is 2 (J^T J + S).
@@ -212,4 +208,4 @@ def solve(prob: RetargetProblem) -> RetargetSolution:
             for z0 in (np.zeros((K, 2)), _fd_inversion_init(prob))]
     z, _, iters, conv = min(runs, key=lambda run: run[1])  # ties: earliest start
     cmds = tuple(VelocityCommand(v, w) for v, w in z.reshape(-1, 2).tolist())
-    return RetargetSolution(cmds, *model(z).costs(), iters, conv)
+    return RetargetSolution(cmds, *model.rollout(z)[0].costs(), iters, conv)

@@ -14,12 +14,12 @@ import numpy as np
 from egonav.chunks import ActionChunk, modulate, upsample
 from egonav.cli import main
 from egonav.geometry import Pose2, VelocityCommand
-from egonav.retarget import RetargetConfig, RetargetProblem, cost, gradient, solve
-from egonav.segmentation import PhaseConfig, gmm_fit, responsibilities, segment
+from egonav.retarget import RetargetConfig, RetargetProblem, cost, solve
+from egonav.segmentation import PhaseConfig, gmm_fit, segment
 from egonav.simulator import read_sim_file, score_segmentation, synthesize
 
 from conftest import two_zone_spec
-from oracles import brute_force, rollout
+from oracles import brute_force, gradient, responsibilities, rollout
 from test_cli import E2E_CFG, E2E_SPEC
 
 CFG = RetargetConfig()

@@ -10,11 +10,12 @@ from egonav.chunks import (ActionChunk, blend_yaw, modulate, subsample,
                            upsample)
 from egonav.config import ChunkConfig
 from egonav.errors import DegenerateOrientationError, InvalidArgumentError
-from egonav.geometry import Pose2, ground_pose, to_frame, wrap, yaw_quaternion
+from egonav.geometry import Pose2, to_frame_rows, wrap, yaw_quaternion
 from egonav.segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 from egonav.simulator import SynthSegment, SynthSpec, synthesize
 
 from conftest import episode_of, frame_row
+from oracles import ground_pose
 
 try:
     from hypothesis import example, given, settings, strategies as st
@@ -28,15 +29,14 @@ def reference_subsample(ep, t0, horizon, step, phases, forward_axis="+x"):
         raise InvalidArgumentError("chunk exceeds episode length")
     ref = ground_pose(ep.head_pos[t0].tolist(), ep.head_quat[t0].tolist(),
                       forward_axis)
-    waypoints = []
+    poses = []
     labels = []
     for i in range(1, horizon + 1):
         idx = t0 + i * step
-        waypoints.append(to_frame(ref, ground_pose(ep.head_pos[idx].tolist(),
-                                                   ep.head_quat[idx].tolist(),
-                                                   forward_axis)))
+        poses.append(ground_pose(ep.head_pos[idx].tolist(), ep.head_quat[idx].tolist(),
+                                 forward_axis))
         labels.append(int(phases.labels[idx]))
-    return ActionChunk(tuple(waypoints), tuple(labels), horizon, step)
+    return ActionChunk(to_frame_rows(ref, poses), tuple(labels), horizon, step)
 
 
 def reference_upsample(chunk, target_len):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,14 +8,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from egonav import cli, ingest, report
+from egonav import cli, ingest, report, simulator
 from egonav.cli import main
-from egonav.config import load_config
-from egonav.errors import InvalidArgumentError
+from egonav.config import load_config, parse_config
+from egonav.errors import ConfigError, InvalidArgumentError
 from egonav.geometry import Pose2
 from egonav.ingest import extract_waypoints, parse_recording
 from egonav.retarget import read_command_file, read_replay
 from egonav.simulator import read_sim_file, simulate
+
+from conftest import two_zone_spec
 
 E2E_SPEC = {
     "segments": [
@@ -100,6 +103,23 @@ class TestExitCodes:
         assert main(["synth", str(workdir / "spec.json"),
                      "--out", str(workdir / "art"),
                      "--config", str(workdir / "cfg.txt")]) == 2
+
+    @pytest.mark.parametrize("text, key, lines", [
+        ("retarget.window = 5\nretarget.window = 7\n", "retarget.window", (1, 2)),
+        ("seed = 3\n# the seed again\nseed = 4\n", "seed", (1, 3)),
+    ], ids=["section-key", "seed"])
+    def test_config_key_given_twice_is_input_error(self, workdir, capsys, text, key,
+                                                   lines):
+        with pytest.raises(ConfigError, match=rf"'{key}' given twice, on lines "
+                                              rf"{lines[0]} and {lines[1]}"):
+            parse_config(text)
+        (workdir / "cfg.txt").write_text(text)
+        capsys.readouterr()
+        assert main(["synth", str(workdir / "spec.json"),
+                     "--out", str(workdir / "art"),
+                     "--config", str(workdir / "cfg.txt")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
     @pytest.mark.parametrize("line", [
         "retarget.window = 0",
@@ -272,6 +292,38 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert str(cmds) in err and str(other / "recording.jsonl") in err
         assert "re-run retarget" in err and not (art / "sim.json").exists()
+
+    def test_simulate_warns_when_most_commands_sit_on_a_bound(self, tmp_path, capsys):
+        # the two-zone walk at the defaults asks for more than v_max, so
+        # its commands saturate; the run still exits 0 and writes sim.json
+        (tmp_path / "s.json").write_text(json.dumps(dataclasses.asdict(two_zone_spec(3))))
+        art = tmp_path / "art"
+        assert main(["synth", str(tmp_path / "s.json"), "--out", str(art)]) == 0
+        rec, cmds = str(art / "recording.jsonl"), art / "commands.txt"
+        assert main(["retarget", rec, "--out", str(cmds)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", str(cmds), rec, "--out", str(art / "sim.json")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "warning" in err
+        sols, objective, _ = read_replay(cmds)
+        n_cmds = sum(len(sol.cmds) for sol in sols)
+        saturated = sum(c.v in (objective.v_min, objective.v_max)
+                        or c.omega in (objective.omega_min, objective.omega_max)
+                        for sol in sols for c in sol.cmds)
+        assert saturated > simulator.SATURATION_WARN * n_cmds
+        assert f"{saturated} of {n_cmds} commands" in err
+        assert read_sim_file(art / "sim.json")["pos_rmse"] > 1.0
+
+    def test_simulate_of_a_trackable_walk_is_silent(self, workdir, capsys):
+        art = workdir / "art"
+        cfg = ["--config", str(workdir / "cfg.txt")]
+        assert main(["synth", str(workdir / "spec.json"), "--out", str(art)]) == 0
+        rec, cmds = str(art / "recording.jsonl"), art / "commands.txt"
+        assert main(["retarget", rec, "--out", str(cmds), *cfg]) == 0
+        capsys.readouterr()
+        assert main(["simulate", str(cmds), rec, "--out", str(art / "sim.json"),
+                     *cfg]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_a_walk_pass_parses_each_recording_twice(self, workdir, monkeypatch):
         # segment and retarget parse the recording; simulate replays the

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from egonav.errors import DegenerateOrientationError, InvalidArgumentError
-from egonav.geometry import (FORWARD_AXES, Pose2, VelocityCommand, compose,
-                             ground_pose, ground_poses, require_yaw, to_frame,
-                             to_frame_rows, wrap, yaw_quaternion)
+from egonav.geometry import (FORWARD_AXES, Pose2, VelocityCommand, ground_poses,
+                             require_yaw, to_frame_rows, wrap, yaw_quaternion)
 
-from oracles import rollout, step
+from oracles import compose, ground_pose, rollout, step
 
 try:
     from hypothesis import example, given, settings, strategies as st
@@ -18,7 +17,7 @@ except ImportError:  # the property tests below are skipped without it
 
 
 def reference_to_frame(reference, target):
-    """``to_frame`` written out for one pose, which the row form must equal."""
+    """``to_frame_rows`` written out for one pose, which the row form must equal."""
     dx = target.x - reference.x
     dy = target.y - reference.y
     c, s = math.cos(reference.theta), math.sin(reference.theta)
@@ -151,18 +150,18 @@ class TestRollout:
 
 class TestFrames:
     def test_identity_reference(self):
-        t = to_frame(Pose2(0, 0, 0), Pose2(1, 2, math.pi / 4))
+        (t,) = to_frame_rows(Pose2(0, 0, 0), [Pose2(1, 2, math.pi / 4)])
         assert (t.x, t.y, t.theta) == (1.0, 2.0, math.pi / 4)
 
     def test_rotated_reference(self):
-        t = to_frame(Pose2(1, 0, math.pi / 2), Pose2(1, 1, math.pi / 2))
+        (t,) = to_frame_rows(Pose2(1, 0, math.pi / 2), [Pose2(1, 1, math.pi / 2)])
         assert t.x == pytest.approx(1.0)
         assert t.y == pytest.approx(0.0, abs=1e-15)
         assert t.theta == 0.0
 
     def test_self_frame(self):
         p = Pose2(0.4, -2.0, 1.2)
-        t = to_frame(p, p)
+        (t,) = to_frame_rows(p, [p])
         assert (t.x, t.y, t.theta) == (0.0, 0.0, 0.0)
 
     def test_compose_inverts_to_frame(self):
@@ -170,7 +169,7 @@ class TestFrames:
         for _ in range(50):
             ref = Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
             tgt = Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
-            back = compose(ref, to_frame(ref, tgt))
+            back = compose(ref, to_frame_rows(ref, [tgt])[0])
             assert back.x == pytest.approx(tgt.x, abs=1e-12)
             assert back.y == pytest.approx(tgt.y, abs=1e-12)
             assert wrap(back.theta - tgt.theta) == pytest.approx(0.0, abs=1e-12)
@@ -227,7 +226,6 @@ def test_to_frame_rows_equals_to_frame_written_out():
     assert all(type(p) is Pose2 for p in got)
     assert [hex_pose(p) for p in got] == \
         [hex_pose(reference_to_frame(ref, Pose2(*r))) for r in rows]
-    assert to_frame(ref, Pose2(*rows[0])) == got[0]
 
 
 if st is not None:

@@ -10,13 +10,13 @@ from egonav.errors import InvalidArgumentError
 from egonav.geometry import Pose2, VelocityCommand, wrap
 from egonav.ingest import WaypointTrack, extract_waypoints, serialize_recording
 from egonav.retarget import (OBJECTIVE, RetargetConfig, RetargetProblem,
-                             RetargetSolution, WalkRecord, _Window, cost, gradient,
+                             RetargetSolution, WalkRecord, _Window, cost,
                              read_command_file, read_replay, retarget_track, solve,
-                             window_rollout, write_command_file)
+                             write_command_file)
 from egonav.simulator import simulate, spec_from_json, synthesize
 
 from conftest import two_zone_spec
-from oracles import brute_force, rollout
+from oracles import brute_force, gradient, rollout
 from test_cli import E2E_SPEC
 
 CFG = RetargetConfig()
@@ -113,7 +113,7 @@ class TestCost:
             z = np.column_stack([rng.uniform(-1, 1, len(prob.desired)),
                                  rng.uniform(-math.pi, math.pi, len(prob.desired))])
             ref = rollout(prob.start, [VelocityCommand(v, w) for v, w in z], CFG.dt)
-            x, y, th = window_rollout(z, prob).states
+            x, y, th = _Window(prob).rollout(z)[0].states
             for p, xk, yk, tk in zip(ref, x, y, th):
                 assert abs(p.x - xk) <= 1e-12 and abs(p.y - yk) <= 1e-12
                 assert abs(wrap(p.theta - tk)) <= 1e-12
@@ -132,8 +132,8 @@ def test_windows_share_read_only_constant_blocks():
     assert not any(getattr(a, name).flags.writeable for name in blocks)
     assert np.array_equal(a.strict, np.tril(np.ones((4, 4)), k=-1))
     assert a.later.tolist() == [[max(m, n) for n in range(4)] for m in range(4)]
-    ro = a(np.zeros(8), jacobian=True)
-    assert ro.J.flags.writeable and not np.shares_memory(ro.J, a.jac)
+    J = a.jacobian(a.rollout(np.zeros(8))[1])
+    assert J.flags.writeable and not np.shares_memory(J, a.jac)
     assert _Window(random_problem(rng, 3)).jac.shape == (15, 3, 2)
 
 
@@ -157,8 +157,9 @@ class TestGradient:
             z = np.column_stack([rng.uniform(-1, 1, k),
                                  rng.uniform(-3, 3, k)]).ravel()
             model = _Window(prob)
-            ro = model(z, jacobian=True)
-            hess = 2.0 * (ro.J.T @ ro.J + model.curvature(z, ro))
+            ro, parts = model.rollout(z)
+            J = model.jacobian(parts)
+            hess = 2.0 * (J.T @ J + model.curvature(z, ro))
             h = 1e-5
             fd = np.column_stack([
                 (gradient(z + h * e, prob) - gradient(z - h * e, prob)).ravel()
@@ -320,7 +321,7 @@ class TestRetargetTrack:
                                CFG, sols[-2].cmds[-1])
         assert solve(last) == sols[-1]
         z = [[c.v, c.omega] for c in sols[-1].cmds]
-        assert res.poses[-1] == window_rollout(z, last).poses()[-1]
+        assert res.poses[-1] == _Window(last).rollout(z)[0].poses()[-1]
 
 
 class TestConvergence:

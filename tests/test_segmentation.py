@@ -11,11 +11,11 @@ from egonav.geometry import yaw_quaternion
 from egonav.segmentation import (MANIPULATION, NAVIGATION, GmmModel,
                                  PhaseConfig, PhaseTrack, candidate_mask,
                                  classify, gmm_fit, gmm_pdf, read_phase_file,
-                                 responsibilities, segment, velocities,
-                                 write_phase_file)
+                                 segment, velocities, write_phase_file)
 from egonav.simulator import score_segmentation, synthesize
 
 from conftest import episode_of, frame_row, two_zone_spec
+from oracles import responsibilities
 
 try:
     from hypothesis import example, given, settings, strategies as st

@@ -8,6 +8,7 @@ same bytes.
 
 import math
 
+import numpy as np
 import pytest
 
 import reference_solver
@@ -89,6 +90,48 @@ def test_solve_rolls_out_only_its_starts_and_trials(monkeypatch):
     # reference rolls its winner out once more
     assert mine[0] == "start" and isinstance(mine[-1], tuple)
     assert mine.count("rollout") == events.count("reference rollout") - 1
+
+
+def one_start_cost(prob, start):
+    """The cost ``retarget._gauss_newton`` ends at from one of ``solve``'s starts."""
+    cfg, K = prob.config, len(prob.desired)
+    lo, hi = np.tile([[cfg.v_min, cfg.omega_min], [cfg.v_max, cfg.omega_max]], K)
+    z0 = np.zeros((K, 2)) if start == "zero" else retarget._fd_inversion_init(prob)
+    return retarget._gauss_newton(_Window(prob), np.clip(z0.ravel(), lo, hi), lo, hi,
+                                  cfg)[1]
+
+
+# Windows drawn by problems() below (rounded), keyed by the start that alone
+# ends in a local minimum about 6x (zero) and 2.7x (fd_inversion) the two-start
+# cost; the other start finds that cost.
+ONE_START_WINDOWS = {
+    "zero": RetargetProblem(
+        Pose2(-3.0, 0.6, 0.0),
+        (Pose2(-3.0, 0.6, 0.0), Pose2(0.0, 0.0, 1.0), Pose2(-3.0, 0.6, 0.0),
+         Pose2(-1.0, 2.0, -2.0), Pose2(-3.0, 1.0, -2.0), Pose2(-0.4, 0.0, 2.0),
+         Pose2(0.0, 1.0, 2.0)),
+        RetargetConfig(lambda_pos=6e-05, lambda_yaw=4.9, lambda_smooth=0.0,
+                       v_min=-0.435, v_max=-0.135, omega_min=-2.28, omega_max=0.58,
+                       dt=0.4),
+        VelocityCommand(-1.93, -3.98)),
+    "fd_inversion": RetargetProblem(
+        Pose2(-3.0, -1.0, -1.7),
+        (Pose2(0.0, -3.0, 1.0), Pose2(-2.0, 2.57, -3.0), Pose2(0.0, 0.0, -2.85),
+         Pose2(0.0, 0.0, 1.0), Pose2(0.0, 1.0, 3.0)),
+        RetargetConfig(lambda_pos=0.0, lambda_yaw=0.41, lambda_smooth=2.16,
+                       v_min=-1.0, v_max=2.83, omega_min=-1.91, omega_max=2.76, dt=0.5),
+        VelocityCommand(-0.85, -1.37)),
+}
+
+
+@pytest.mark.parametrize("alone", sorted(ONE_START_WINDOWS))
+def test_each_start_finds_a_window_the_other_misses(alone):
+    # a solver that keeps one start only fails one of these windows
+    prob = ONE_START_WINDOWS[alone]
+    other = "fd_inversion" if alone == "zero" else "zero"
+    best = solve(prob).cost_total
+    assert one_start_cost(prob, alone) >= 2.0 * best
+    assert one_start_cost(prob, other) == pytest.approx(best, rel=1e-12)
 
 
 if st is not None:

@@ -1,5 +1,6 @@
 """Every egonav module references each name it imports and each of its
-private module-level functions, classes and constants.
+private module-level functions, classes and constants, and every public
+module-level function is called by the pipeline or by the benchmark.
 
 ``__init__.py`` is left out: its imports are the package's exports.
 """
@@ -11,8 +12,9 @@ import pytest
 
 import egonav
 
-MODULES = sorted(p.name for p in Path(egonav.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SRC = Path(egonav.__file__).parent
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +38,7 @@ def test_unused_imports_finds_only_unreferenced_names():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
-    path = Path(egonav.__file__).parent / module
+    path = SRC / module
     assert unused_imports(path.read_text()) == []
 
 
@@ -72,5 +74,48 @@ def test_unreferenced_private_names_finds_only_unread_ones():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_private_name(module):
-    path = Path(egonav.__file__).parent / module
+    path = SRC / module
     assert unreferenced_private_names(path.read_text()) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """The names ``source`` reads: ``Name`` ids, attribute names and the
+    names of ``from ... import`` statements."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def unreached_public_functions(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function`` for each public module-level function of ``modules``
+    (file name -> source) that neither those modules nor ``callers`` reference.
+
+    ``cli.cmd_*`` is left out: the CLI dispatches its handlers by name.
+    """
+    used = set().union(*map(referenced_names, [*modules.values(), *callers]))
+    return [f"{name[:-3]}.{node.name}" for name, source in modules.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in used
+            and not (name == "cli.py" and node.name.startswith("cmd_"))]
+
+
+def test_unreached_public_functions_finds_only_unreferenced_ones():
+    modules = {"a.py": ("def f():\n    return g()\ndef g():\n    pass\n"
+                        "def h():\n    pass\ndef k():\n    pass\ndef _p():\n    pass\n"),
+               "b.py": "from .a import h\n",
+               "cli.py": "def cmd_go():\n    pass\ndef run():\n    pass\n"}
+    assert unreached_public_functions(modules, ["a.k()\n"]) == ["a.f", "cli.run"]
+
+
+def test_every_public_function_is_called_by_the_pipeline_or_the_benchmark():
+    modules = {m: (SRC / m).read_text() for m in MODULES}
+    callers = [p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))]
+    assert callers, f"no benchmark sources under {PERFBENCH}"
+    assert unreached_public_functions(modules, callers) == []
