@@ -25,8 +25,9 @@ owns that edge rule. The output poses are built as ``Pose2`` tuples
 directly, without a Python call per point. The result is bit-identical
 to blending point by point.
 
-:class:`ActionChunk` is a :class:`typing.NamedTuple` whose constructor
-checks that waypoints and phases have one length.
+:class:`ActionChunk` is a frozen dataclass of waypoints and their phase
+labels; every construction, :func:`dataclasses.replace` included, checks
+that the two have one length.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -44,29 +46,17 @@ from .geometry import Pose2, require_yaw, to_frame_rows, wrap
 from .ingest import Episode
 from .segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 
-TARGET_LEN = 100  # unified interpolated chunk length
 
-
-class _ChunkFields(NamedTuple):
-    waypoints: tuple[Pose2, ...]
-    phases: tuple[int, ...]
-    horizon: int
-    step: int
-
-
-class ActionChunk(_ChunkFields):
+@dataclass(frozen=True)
+class ActionChunk:
     """Egocentric waypoints with per-step phase labels."""
 
-    __slots__ = ()
+    waypoints: tuple[Pose2, ...]
+    phases: tuple[int, ...]
 
-    def __new__(cls, waypoints, phases, horizon, step):
-        if len(waypoints) != len(phases):
+    def __post_init__(self):
+        if len(self.waypoints) != len(self.phases):
             raise InvalidArgumentError("waypoints and phases lengths differ")
-        return tuple.__new__(cls, (waypoints, phases, horizon, step))
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through it; keep the check
-        return cls(*iterable)
 
 
 def subsample(ep: Episode, t0: int, horizon: int, step: int,
@@ -94,7 +84,7 @@ def subsample(ep: Episode, t0: int, horizon: int, step: int,
     ref, *rest = poses.tolist()
     waypoints = to_frame_rows(ref, rest)
     labels = tuple(phases.labels[t0 + step:stop:step].tolist())
-    return ActionChunk(waypoints, labels, horizon, step)
+    return ActionChunk(waypoints, labels)
 
 
 def blend_yaw(theta_a: float, theta_b: float, s: float) -> float:
@@ -141,7 +131,7 @@ def _grid(n: int, target_len: int) -> _Grid:
     return grid
 
 
-def upsample(chunk: ActionChunk, target_len: int = TARGET_LEN) -> ActionChunk:
+def upsample(chunk: ActionChunk, target_len: int) -> ActionChunk:
     """Interpolate a chunk to a fixed length on a uniform parameter grid.
 
     x and y are linear per segment; yaw uses the atan2 blend. The first
@@ -173,7 +163,7 @@ def upsample(chunk: ActionChunk, target_len: int = TARGET_LEN) -> ActionChunk:
             k = int(g.index[0, 0, j])
             yaw[j] = blend_yaw(theta[k], theta[k + 1], float(g.weights[1, 0, j]))
     out_wp = tuple(map(tuple.__new__, repeat(Pose2), zip(xs, ys, yaw)))
-    return ActionChunk(out_wp, g.nearest(chunk.phases), chunk.horizon, chunk.step)
+    return ActionChunk(out_wp, g.nearest(chunk.phases))
 
 
 def modulate(chunk: ActionChunk, current_phase: int) -> ActionChunk:
@@ -188,31 +178,19 @@ def modulate(chunk: ActionChunk, current_phase: int) -> ActionChunk:
     most recent preceding navigation waypoint (leading ones to the null
     displacement) so the base never chases manipulation head noise.
     """
-    wps = chunk.waypoints
-    n = len(wps)
+    wps, phases = chunk.waypoints, chunk.phases
+    null = Pose2(0.0, 0.0, 0.0)
+    if NAVIGATION not in phases:  # nothing to ramp to or hold, as in most of a stop
+        return ActionChunk((null,) * len(wps), phases)
     if current_phase == MANIPULATION:
-        if NAVIGATION not in chunk.phases:
-            out = [Pose2(0.0, 0.0, 0.0)] * n
-        else:
-            j = chunk.phases.index(NAVIGATION)
-            target = wps[j]
-            out = []
-            for i in range(n):
-                if i <= j:
-                    s = (i + 1) / (j + 1)
-                    out.append(Pose2(s * target.x, s * target.y,
-                                     blend_yaw(0.0, target.theta, s)))
-                else:
-                    out.append(target)
-        return ActionChunk(tuple(out), chunk.phases, chunk.horizon, chunk.step)
-
-    # navigation phase
-    out = []
-    last_nav = Pose2(0.0, 0.0, 0.0)
-    for i in range(n):
-        if chunk.phases[i] == NAVIGATION:
-            last_nav = wps[i]
-            out.append(wps[i])
-        else:
-            out.append(last_nav)
-    return ActionChunk(tuple(out), chunk.phases, chunk.horizon, chunk.step)
+        j = phases.index(NAVIGATION)
+        x, y, theta = target = wps[j]
+        ramp = tuple(Pose2(s * x, s * y, blend_yaw(0.0, theta, s))
+                     for s in (k / (j + 1) for k in range(1, j + 2)))
+        return ActionChunk(ramp + (target,) * (len(wps) - j - 1), phases)
+    out, last = [], null
+    for wp, phase in zip(wps, phases):
+        if phase == NAVIGATION:
+            last = wp
+        out.append(last)
+    return ActionChunk(tuple(out), phases)

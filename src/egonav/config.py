@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .chunks import TARGET_LEN
 from .errors import ConfigError, InvalidArgumentError
 from .geometry import FORWARD_AXES
 from .ingest import DEFAULT_D_THRESH
@@ -47,7 +46,7 @@ class ChunkConfig:
     horizon: int = 10
     nav_step: int = 8        # frames between navigation samples
     manip_step: int = 4      # frames between manipulation samples
-    target_len: int = TARGET_LEN  # unified interpolated chunk length
+    target_len: int = 100    # unified interpolated chunk length
 
     def __post_init__(self):
         for name, low in (("horizon", 2), ("nav_step", 1), ("manip_step", 1),

@@ -320,13 +320,21 @@ def _gmm_field(g: dict, name: str, shape: Optional[tuple]) -> np.ndarray:
 
 
 def _phase_config(raw) -> PhaseConfig:
-    """``raw`` as a PhaseConfig; each value must be a finite number of its field's type."""
+    """``raw`` as a PhaseConfig.
+
+    ``raw`` must hold exactly PhaseConfig's fields, each a finite number
+    of its field's type: a file records every field, so a missing one is
+    not taken to be its default.
+    """
     if not isinstance(raw, dict):
         raise ValueError("'config' must be a JSON object")
     types = {f.name: f.type for f in fields(PhaseConfig)}
+    wrong = [f"{'missing' if name in types else 'unknown'} key 'config.{name}'"
+             for name in sorted(raw.keys() ^ types.keys())]
+    if wrong:
+        raise ValueError(", ".join(wrong))
     for name, value in raw.items():
-        if name in types and not (finite_number(value)
-                                  and (types[name] == "float" or type(value) is int)):
+        if not (finite_number(value) and (types[name] == "float" or type(value) is int)):
             raise ValueError(f"'config.{name}' must be a finite {types[name]}, got {value!r}")
     return PhaseConfig(**raw)
 

@@ -225,13 +225,20 @@ def score_segmentation(predicted: PhaseTrack, truth: PhaseTrack) -> float:
 def spec_from_json(obj: dict) -> SynthSpec:
     """Build a SynthSpec from the keys its JSON representation has.
 
-    A missing or unknown key raises :class:`InvalidArgumentError`, as do
-    the checks of :class:`SynthSegment` and :class:`SynthSpec`.
+    A spec that is not a JSON object, a missing ``segments`` or one that
+    is not a list of objects, or a missing or unknown key raises
+    :class:`InvalidArgumentError`, as do the checks of
+    :class:`SynthSegment` and :class:`SynthSpec`.
     """
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError("a synthesis spec must be a JSON object")
+    segments = obj.get("segments")
+    if not (isinstance(segments, list) and all(isinstance(s, dict) for s in segments)):
+        raise InvalidArgumentError("'segments' must be a list of JSON objects")
     try:
-        segments = tuple(SynthSegment(**s) for s in obj["segments"])
+        segments = tuple(SynthSegment(**s) for s in segments)
         return SynthSpec(segments, **{k: v for k, v in obj.items() if k != "segments"})
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:  # a missing or unknown key
         raise InvalidArgumentError(f"invalid synthesis spec: {exc}") from None
 
 

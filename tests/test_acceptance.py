@@ -145,12 +145,12 @@ def test_6_chunk_interpolation_and_modulation():
     rng = np.random.default_rng(6)
     poses = [Pose2(*rng.uniform(-1, 1, 2), rng.uniform(-math.pi, math.pi))
              for _ in range(10)]
-    chunk = ActionChunk(tuple(poses), (1,) * 10, 10, 8)
+    chunk = ActionChunk(tuple(poses), (1,) * 10)
     up = upsample(chunk, 100)
     ok = ok and len(up.waypoints) == 100
     ok = ok and up.waypoints[0] == poses[0] and up.waypoints[-1] == poses[-1]
     mid = upsample(ActionChunk((Pose2(0, 0, 0), Pose2(1, 0, math.pi / 2)),
-                               (1, 1), 2, 8), 3)
+                               (1, 1)), 3)
     ok = ok and abs(mid.waypoints[1].theta - math.pi / 4) <= 1e-12
     # phase modulation is idempotent
     for _ in range(1000):
@@ -158,7 +158,7 @@ def test_6_chunk_interpolation_and_modulation():
         ps = tuple(Pose2(*rng.uniform(-1, 1, 2),
                          rng.uniform(-math.pi, math.pi)) for _ in range(n))
         phases = tuple(int(x) for x in rng.integers(0, 2, n))
-        c = ActionChunk(ps, phases, n, 8)
+        c = ActionChunk(ps, phases)
         phase = int(rng.integers(0, 2))
         once = modulate(c, phase)
         ok = ok and modulate(once, phase).waypoints == once.waypoints

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -36,7 +37,7 @@ def reference_subsample(ep, t0, horizon, step, phases, forward_axis="+x"):
         poses.append(ground_pose(ep.head_pos[idx].tolist(), ep.head_quat[idx].tolist(),
                                  forward_axis))
         labels.append(int(phases.labels[idx]))
-    return ActionChunk(to_frame_rows(ref, poses), tuple(labels), horizon, step)
+    return ActionChunk(to_frame_rows(ref, poses), tuple(labels))
 
 
 def reference_upsample(chunk, target_len):
@@ -56,7 +57,39 @@ def reference_upsample(chunk, target_len):
             blend_yaw(a.theta, b.theta, s),
         ))
         out_ph.append(chunk.phases[int(round(u))])
-    return ActionChunk(tuple(out_wp), tuple(out_ph), chunk.horizon, chunk.step)
+    return ActionChunk(tuple(out_wp), tuple(out_ph))
+
+
+def reference_modulate(chunk, current_phase):
+    """The branch-per-phase modulate that the one-pass one must equal."""
+    wps = chunk.waypoints
+    n = len(wps)
+    if current_phase == MANIPULATION:
+        if NAVIGATION not in chunk.phases:
+            out = [Pose2(0.0, 0.0, 0.0)] * n
+        else:
+            j = chunk.phases.index(NAVIGATION)
+            target = wps[j]
+            out = []
+            for i in range(n):
+                if i <= j:
+                    s = (i + 1) / (j + 1)
+                    out.append(Pose2(s * target.x, s * target.y,
+                                     blend_yaw(0.0, target.theta, s)))
+                else:
+                    out.append(target)
+        return ActionChunk(tuple(out), chunk.phases)
+
+    # navigation phase
+    out = []
+    last_nav = Pose2(0.0, 0.0, 0.0)
+    for i in range(n):
+        if chunk.phases[i] == NAVIGATION:
+            last_nav = wps[i]
+            out.append(wps[i])
+        else:
+            out.append(last_nav)
+    return ActionChunk(tuple(out), chunk.phases)
 
 
 def bits(chunk):
@@ -75,7 +108,7 @@ def nav_track(n=100):
 
 
 def chunk_of(poses, phases):
-    return ActionChunk(tuple(poses), tuple(phases), len(poses), 8)
+    return ActionChunk(tuple(poses), tuple(phases))
 
 
 class TestSubsample:
@@ -170,7 +203,7 @@ def stop_and_go_episode():
     return synthesize(SynthSpec(tuple(segs), fps=60.0, noise_std=0.002, seed=5))
 
 
-def dataset_digest(ep, track, cfg, build_sub, build_up, stride=8):
+def dataset_digest(ep, track, cfg, build_sub, build_up, build_mod, stride=8):
     """SHA-256 over every chunk's waypoints and phases, built as perfbench does."""
     labels = track.labels.tolist()
     h = hashlib.sha256()
@@ -181,7 +214,7 @@ def dataset_digest(ep, track, cfg, build_sub, build_up, stride=8):
             continue
         up = build_up(build_sub(ep, t0, cfg.horizon, step, track),
                       cfg.target_len)
-        chunk = modulate(up, labels[t0])
+        chunk = build_mod(up, labels[t0])
         h.update(np.array(chunk.waypoints, dtype=float).tobytes())
         h.update(np.array(chunk.phases, dtype=np.int64).tobytes())
         count += 1
@@ -191,8 +224,9 @@ def dataset_digest(ep, track, cfg, build_sub, build_up, stride=8):
 def test_dataset_digest_equals_reference():
     ep, track = stop_and_go_episode()
     cfg = ChunkConfig()
-    fast = dataset_digest(ep, track, cfg, subsample, upsample)
-    ref = dataset_digest(ep, track, cfg, reference_subsample, reference_upsample)
+    fast = dataset_digest(ep, track, cfg, subsample, upsample, modulate)
+    ref = dataset_digest(ep, track, cfg, reference_subsample, reference_upsample,
+                         reference_modulate)
     assert fast[1] > 100
     assert fast == ref
 
@@ -241,19 +275,17 @@ def test_ground_track_is_kept_per_axis_and_read_only():
 class TestActionChunk:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(InvalidArgumentError):
-            ActionChunk((Pose2(0, 0, 0),), (NAVIGATION, NAVIGATION), 1, 8)
+            ActionChunk((Pose2(0, 0, 0),), (NAVIGATION, NAVIGATION))
         chunk = chunk_of([Pose2(0, 0, 0)] * 2, [NAVIGATION] * 2)
         with pytest.raises(InvalidArgumentError):
-            chunk._replace(phases=(NAVIGATION,))
-        with pytest.raises(InvalidArgumentError):
-            ActionChunk._make(((Pose2(0, 0, 0),), (), 1, 8))
+            dataclasses.replace(chunk, phases=(NAVIGATION,))
 
     def test_fields_are_read_only(self):
         chunk = chunk_of([Pose2(0, 0, 0)] * 2, [NAVIGATION] * 2)
-        for name in ("waypoints", "phases", "horizon", "step", "extra"):
+        for name in ("waypoints", "phases", "extra"):
             with pytest.raises(AttributeError):
                 setattr(chunk, name, None)
-        assert chunk._fields == ("waypoints", "phases", "horizon", "step")
+        assert [f.name for f in dataclasses.fields(chunk)] == ["waypoints", "phases"]
 
     def test_pickle_round_trip(self):
         chunk = chunk_of([Pose2(0.5, 0, 1.0)] * 3,
@@ -436,6 +468,20 @@ class TestModulate:
             once = modulate(chunk, phase)
             twice = modulate(once, phase)
             assert once.waypoints == twice.waypoints
+
+
+@pytest.mark.parametrize("phase", [MANIPULATION, NAVIGATION])
+def test_modulate_bit_identical_to_reference(phase):
+    rng = np.random.default_rng(12)
+    cases = [random_chunk(rng, int(rng.integers(1, 30))) for _ in range(300)]
+    # a navigation target beyond (-pi, pi] exercises wrap at the ramp's end
+    poses = random_chunk(rng, 12).waypoints[:-1] + (Pose2(0.4, -0.3, 5.0),)
+    m, v = MANIPULATION, NAVIGATION
+    for phases in ([m] * 12, [v] * 12, [m] * 5 + [v] * 7, [m] * 11 + [v],
+                   [v] + [m] * 11, [m, v] * 6):
+        cases.append(chunk_of(poses, phases))
+    for chunk in cases:
+        assert bits(modulate(chunk, phase)) == bits(reference_modulate(chunk, phase))
 
 
 def test_blend_yaw_endpoints_exact():

@@ -692,10 +692,11 @@ class TestArtifactReaders:
         (lambda obj: obj["config"].update(tau_duration=2.5), "'config.tau_duration'"),
         (lambda obj: obj.update(seed=1.5), "'seed'"),
         (lambda obj: obj.update(seed=True), "'seed'"),
+        (lambda obj: obj["config"].pop("tau_pdf"), "missing key 'config.tau_pdf'"),
     ], ids=["labels", "config", "seed", "unknown-config-key", "bad-seed",
             "labels-not-a-list", "gmm-means-shape", "gmm-no-components",
             "gmm-covariances-count", "inf-config-value", "fractional-config-int",
-            "fractional-seed", "bool-seed"])
+            "fractional-seed", "bool-seed", "missing-config-key"])
     def test_phase_file_malformed(self, workdir, capsys, edit, words):
         run_pipeline(workdir)
         phases = workdir / "art" / "phases.json"
@@ -747,9 +748,13 @@ class TestArtifactReaders:
         ({"segments": [{"kind": "arc", "duration": 1.0, "turn_rate": 1e308}],
           "fps": 1e-300}, "float range"),
         ({"segments": [{"kind": "straight", "duration": 1.0, "sped": 2.0}]}, "'sped'"),
+        ([1, 2], "must be a JSON object"),
+        ({"segments": {"kind": "straight"}}, "'segments' must be a list"),
+        ({"segments": ["straight"]}, "'segments' must be a list"),
     ], ids=["duration", "fps", "turn-rate", "noise-std", "speed", "head-height",
             "fractional-seed", "long", "long-in-sum", "overflowing-walk",
-            "overflowing-turn", "unknown-key"])
+            "overflowing-turn", "unknown-key", "not-an-object", "segments-an-object",
+            "segment-a-string"])
     def test_synth_spec_out_of_range(self, tmp_path, capsys, spec, words):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(spec))
