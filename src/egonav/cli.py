@@ -13,9 +13,9 @@ digest of the recording and the waypoints it solved for, so
 it is given to check that it is that one, and does not parse it. Its
 ``--config`` is loaded and checked, but it reads no key of it; it warns on
 stderr, and still exits 0, when more than ``simulator.SATURATION_WARN`` of
-the commands sit on a bound. ``report``
-draws the walk from the command file too, and the rollout from
-``sim.json``, which holds only what the replay computed.
+the commands sit on a bound. ``report`` replays the command file the same
+way and draws the walk and the rollout from that replay, so it never reads
+``sim.json``; ``simulate`` writes that file for the user.
 """
 
 from __future__ import annotations
@@ -153,7 +153,8 @@ def _for_each(run, recordings, outs) -> None:
 def cmd_synth(args, cfg) -> int:
     with open(args.spec) as fh:
         try:
-            spec = simulator.spec_from_json(json.load(fh))
+            spec = simulator.spec_from_json(
+                json.load(fh, object_pairs_hook=ingest.unique_keys))
             if args.seed is not None:
                 spec = replace(spec, seed=args.seed)
             ep, truth = simulator.synthesize(spec)
@@ -225,28 +226,27 @@ def cmd_report(args, cfg) -> int:
     # echo the objective, phase config and seed the artifacts record
     cfg = replace(cfg, retarget=replace(cfg.retarget, **{
         k: getattr(objective, k) for k in retarget.OBJECTIVE}))
-    sim = simulator.read_sim_file(art / "sim.json")
-    if len(sim["poses"]) != len(walk.waypoints) - 1:
-        raise InvalidArgumentError(
-            f"{art / 'sim.json'} holds {len(sim['poses'])} poses, but "
-            f"{art / 'commands.txt'} records {len(walk.waypoints) - 1} waypoints; "
-            "re-run simulate on this command file")
-    rollout = [simulator.Pose2(*p) for p in sim["poses"]]
+    sim = simulator.simulate(walk.waypoints[0], solutions, walk.waypoints[1:],
+                             objective)
 
-    phases = truth = None
+    phases = truth = accuracy = None
     if (art / "phases.json").exists():
         phases, _, phase_cfg, seed = segmentation.read_phase_file(art / "phases.json")
         cfg = replace(cfg, phase=phase_cfg, seed=seed)
     if (art / "truth.json").exists():
         truth, _, _, _ = segmentation.read_phase_file(art / "truth.json")
-    accuracy = None
-    if phases is not None and truth is not None and len(phases) == len(truth):
-        accuracy = simulator.score_segmentation(phases, truth)
+    if phases is not None and truth is not None:
+        if len(phases) == len(truth):
+            accuracy = simulator.score_segmentation(phases, truth)
+        else:  # segment drops low-confidence frames, so this is no input error
+            print(f"egonav: warning: {art / 'phases.json'} has {len(phases)} labels "
+                  f"and {art / 'truth.json'} {len(truth)}, so the report leaves out "
+                  "segmentation_accuracy", file=sys.stderr)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "trajectory.svg").write_text(
-        report.trajectory_svg(walk.waypoints[1:], rollout))
+        report.trajectory_svg(walk.waypoints[1:], sim.poses))
     if phases is not None:
         (out / "phases.svg").write_text(report.phase_timeline_svg(phases, truth))
     (out / "costs.svg").write_text(report.cost_bars_svg(solutions))

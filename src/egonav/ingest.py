@@ -134,6 +134,17 @@ def finite_number(v) -> bool:
         return False
 
 
+def unique_keys(pairs) -> dict:
+    """``pairs`` as a dict; a key given twice raises :class:`InvalidArgumentError`
+    (as a ``json.load`` ``object_pairs_hook``: JSON keeps a key's last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidArgumentError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
 def _frame_row(obj) -> list | None:
     """The row of ``obj``, if it is a well-formed frame checked in aggregate.
 

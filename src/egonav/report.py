@@ -13,6 +13,7 @@ from .config import PipelineConfig, effective_parameters
 from .geometry import Pose2
 from .retarget import RetargetSolution
 from .segmentation import PhaseTrack, runs
+from .simulator import SimResult
 
 _W, _H = 640, 480
 _MARGIN = 40
@@ -104,15 +105,14 @@ def cost_bars_svg(solutions: Sequence[RetargetSolution]) -> str:
     return _svg(body)
 
 
-def metrics_summary(cfg: PipelineConfig, sim: Optional[dict],
+def metrics_summary(cfg: PipelineConfig, sim: SimResult,
                     solutions: Sequence[RetargetSolution],
                     track: Optional[PhaseTrack],
                     accuracy: Optional[float] = None) -> dict:
-    """Flat metrics dict: tracking scores, costs, and the config echo."""
+    """Flat metrics dict: the config echo, the replay's scores, costs and phases."""
     out: dict[str, object] = {"parameters": effective_parameters(cfg)}
-    if sim is not None:
-        for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy"):
-            out[key] = sim[key]
+    for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy"):
+        out[key] = getattr(sim, key)
     if solutions:
         out["windows"] = len(solutions)
         out["cost_total"] = sum(s.cost_total for s in solutions)

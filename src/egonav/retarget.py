@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
 from .geometry import TWO_PI, Pose2, VelocityCommand, wrap
-from .ingest import WaypointTrack, finite_number
+from .ingest import WaypointTrack, finite_number, unique_keys
 
 # a step that cuts the cost by less than this fraction makes the next step
 # try the exact Hessian instead of the Gauss-Newton one
@@ -446,8 +446,13 @@ def _number(raw: str) -> float:
     return x
 
 
-def _index(fields: dict, key: str, expected: int) -> None:
-    """Check that the row's ``key`` number is the next one, ``expected``."""
+def _record(fields: dict, keys: tuple[str, ...], expected: int) -> None:
+    """Check that a '#!' row has just ``keys`` and its ``keys[0]`` is ``expected``."""
+    key = keys[0]
+    if fields.keys() != set(keys):
+        odd = ", ".join(map(repr, sorted(fields.keys() ^ set(keys))))
+        raise InvalidArgumentError(f"a '#! {key}=' row has the keys {', '.join(keys)}, "
+                                   f"each once; this one differs in {odd}")
     if int(fields[key]) != expected:
         raise InvalidArgumentError(
             f"'{key}={fields[key]}' where {key}={expected} comes next: "
@@ -459,15 +464,16 @@ def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecor
 
     The objective is a :class:`RetargetConfig` of the header's ``OBJECTIVE``
     values; its solver fields keep their defaults. A malformed row or '#!'
-    token, a value that is not a finite number, a missing, second or late
-    header, a window record with a negative cost or iteration count or a
-    ``converged`` other than 0 or 1, a command outside the header's bounds,
-    a window or waypoint number repeated or skipped, a command not under its
-    window's '#! window=' record, a window without commands, a missing or
-    second recording digest or waypoints that are not one more than the
-    commands raises :class:`InvalidArgumentError`. A file without the
-    objective row or the walk record, written before either existed, asks
-    for retarget to be re-run.
+    token, a '#!' row with a key repeated, missing or unknown, a value that
+    is not a finite number, a missing, second or late header, a window
+    record with a negative cost or iteration count or a ``converged`` other
+    than 0 or 1, a command outside the header's bounds, a window or
+    waypoint number repeated or skipped, a command not under its window's
+    '#! window=' record, a window without commands, a missing or second
+    recording digest or waypoints that are not one more than the commands
+    raises :class:`InvalidArgumentError`. A file without the objective row
+    or the walk record, written before either existed, asks for retarget
+    to be re-run.
     """
     metas: list[tuple] = []
     cmds: list[list[VelocityCommand]] = []
@@ -480,11 +486,12 @@ def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecor
             line, where = line.strip(), f"command file {path} line {n}"
             try:
                 if line.startswith("#!"):
-                    fields = dict(kv.split("=") for kv in line[2:].split())
+                    fields = unique_keys(kv.split("=") for kv in line[2:].split())
                     if "window" in fields:
-                        _index(fields, "window", len(metas))
-                        costs = [_number(fields[k]) for k in (
-                            "cost_total", "cost_pos", "cost_yaw", "cost_smooth")]
+                        names = ("cost_total", "cost_pos", "cost_yaw", "cost_smooth")
+                        _record(fields, ("window", *names, "iterations", "converged"),
+                                len(metas))
+                        costs = [_number(fields[k]) for k in names]
                         iterations = int(fields["iterations"])
                         converged = int(fields["converged"])
                         if min(costs) < 0 or iterations < 0 or converged not in (0, 1):
@@ -494,7 +501,7 @@ def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecor
                         metas.append((*costs, iterations, bool(converged)))
                         cmds.append([])
                     elif "waypoint" in fields:
-                        _index(fields, "waypoint", len(waypoints))
+                        _record(fields, ("waypoint", "x", "y", "theta"), len(waypoints))
                         waypoints.append(Pose2(*(_number(fields[k])
                                                  for k in ("x", "y", "theta"))))
                         record_line = n

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, NoManipulationZonesError
-from .ingest import Episode, finite_number
+from .ingest import Episode, finite_number, unique_keys
 
 MANIPULATION = 0
 NAVIGATION = 1
@@ -343,8 +343,8 @@ def read_phase_file(path) -> tuple[PhaseTrack, Optional[GmmModel], PhaseConfig, 
     """Read a phase file; a missing or malformed field raises InvalidArgumentError."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+            obj = json.load(fh, object_pairs_hook=unique_keys)
+        except (json.JSONDecodeError, RecursionError, InvalidArgumentError) as exc:
             raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"{path}: a phase file must hold a JSON object")

@@ -256,25 +256,3 @@ def write_sim_file(path, result: SimResult) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, indent=1) + "\n")
 
-
-def read_sim_file(path) -> dict:
-    """Read a sim file; a missing or malformed entry raises InvalidArgumentError."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise InvalidArgumentError(f"{path}: a sim file must hold a JSON object")
-    for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy", "poses"):
-        if key not in obj:
-            raise InvalidArgumentError(f"{path}: missing field {key!r}")
-    for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy"):
-        if not (finite_number(obj[key]) and obj[key] >= 0):
-            raise InvalidArgumentError(f"{path}: {key!r} must be a finite number >= 0")
-    if not (isinstance(obj["poses"], list) and all(
-            isinstance(p, list) and len(p) == 3 and all(map(finite_number, p))
-            for p in obj["poses"])):
-        raise InvalidArgumentError(
-            f"{path}: 'poses' must be a list of [x, y, theta] finite numbers")
-    return obj

@@ -16,7 +16,7 @@ from egonav.cli import main
 from egonav.geometry import Pose2, VelocityCommand
 from egonav.retarget import RetargetConfig, RetargetProblem, cost, solve
 from egonav.segmentation import PhaseConfig, gmm_fit, segment
-from egonav.simulator import read_sim_file, score_segmentation, synthesize
+from egonav.simulator import score_segmentation, synthesize
 
 from conftest import two_zone_spec
 from oracles import brute_force, gradient, responsibilities, rollout
@@ -220,7 +220,7 @@ def test_8_end_to_end_pipeline(tmp_path):
         arts.append(art)
     elapsed = time.perf_counter() - t0
 
-    sim = read_sim_file(arts[0] / "sim.json")
+    sim = json.loads((arts[0] / "sim.json").read_text())
     identical = all(
         (arts[0] / n).read_bytes() == (arts[1] / n).read_bytes()
         for n in ("recording.jsonl", "phases.json", "commands.txt", "sim.json"))

@@ -1,4 +1,4 @@
-"""Synthesis specs through ``synth``, and phase and sim files through ``report``.
+"""Synthesis specs through ``synth``, and phase files through ``report``.
 
 Every exit is a documented code, with no traceback and no warning. A
 ``synth`` that exits 0 wrote a recording and a truth file that read back,
@@ -126,7 +126,7 @@ def test_synth_specs_exit_with_a_documented_code(spec):
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """A two-stop walk's artifacts: synth, segment, retarget and simulate."""
+    """A two-stop walk's artifacts: synth, segment and retarget."""
     art = tmp_path_factory.mktemp("walk")
     spec = art / "spec.json"
     spec.write_text(json.dumps({"segments": [
@@ -137,8 +137,6 @@ def artifacts(tmp_path_factory):
     assert main(["synth", str(spec), "--out", str(art)]) == 0
     assert main(["segment", rec, "--out", str(art / "phases.json")]) == 0
     assert main(["retarget", rec, "--out", str(art / "commands.txt")]) == 0
-    assert main(["simulate", str(art / "commands.txt"), rec,
-                 "--out", str(art / "sim.json")]) == 0
     return art
 
 
@@ -158,7 +156,7 @@ def mutated(draw, text: str) -> str:
 @given(st.data())
 def test_artifacts_through_report_exit_with_a_documented_code(artifacts, data):
     # "both" writes one mutated phase file as the phases and as the truth
-    name = data.draw(st.sampled_from(["phases.json", "truth.json", "sim.json", "both"]))
+    name = data.draw(st.sampled_from(["phases.json", "truth.json", "both"]))
     source = "phases.json" if name == "both" else name
     text = data.draw(mutated((artifacts / source).read_text()))
     with tempfile.TemporaryDirectory() as tmp:

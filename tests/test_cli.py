@@ -1,21 +1,25 @@
 import dataclasses
 import json
 import os
-import re
+import shutil
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import egonav
 from egonav import cli, ingest, report, simulator
 from egonav.cli import main
 from egonav.config import load_config, parse_config
-from egonav.errors import ConfigError, InvalidArgumentError
+from egonav.errors import ConfigError
 from egonav.geometry import Pose2
 from egonav.ingest import extract_waypoints, parse_recording
 from egonav.retarget import read_command_file, read_replay
-from egonav.simulator import read_sim_file, simulate
+from egonav.simulator import simulate
 
 from conftest import two_zone_spec
 
@@ -222,7 +226,7 @@ class TestExitCodes:
         assert main(["simulate", str(art / "commands.txt"),
                      str(art / "recording.jsonl"),
                      "--out", str(art / "sim.json")]) == 0
-        sim = read_sim_file(art / "sim.json")
+        sim = json.loads((art / "sim.json").read_text())
         assert sim["poses"] == []
         assert sim["pos_rmse"] == sim["pos_max"] == sim["yaw_rmse"] == 0.0
         assert sim["cost_discrepancy"] == 0.0
@@ -243,7 +247,7 @@ class TestPipeline:
         assert read_command_file(art / "commands.txt")[1].dt == 0.1
         assert main(["simulate", str(art / "commands.txt"), rec,
                      "--out", str(art / "sim.json")]) == 0
-        assert read_sim_file(art / "sim.json")["cost_discrepancy"] == 0.0
+        assert json.loads((art / "sim.json").read_text())["cost_discrepancy"] == 0.0
 
     def test_simulate_replays_under_the_command_file_weights(self, tmp_path):
         # retarget under a non-default weight, simulate with no config: the
@@ -255,7 +259,7 @@ class TestPipeline:
                      "--config", str(tmp_path / "w.txt")]) == 0
         assert main(["simulate", str(art / "commands.txt"), rec,
                      "--out", str(art / "sim.json")]) == 0
-        assert read_sim_file(art / "sim.json")["cost_discrepancy"] == 0.0
+        assert json.loads((art / "sim.json").read_text())["cost_discrepancy"] == 0.0
 
     @pytest.mark.parametrize("solve_cfg, replay_cfg", [
         (E2E_CFG + "ingest.forward_axis = +y\n", E2E_CFG),
@@ -274,7 +278,7 @@ class TestPipeline:
                      "--config", str(workdir / "solve.txt")]) == 0
         assert main(["simulate", str(cmds), rec, "--out", str(art / "sim.json"),
                      "--config", str(workdir / "replay.txt")]) == 0
-        sim = read_sim_file(art / "sim.json")
+        sim = json.loads((art / "sim.json").read_text())
         assert sim["cost_discrepancy"] == 0.0
         sols, objective, walk = read_replay(cmds)
         replay = simulate(walk.waypoints[0], sols, walk.waypoints[1:], objective)
@@ -312,7 +316,7 @@ class TestPipeline:
                         for sol in sols for c in sol.cmds)
         assert saturated > simulator.SATURATION_WARN * n_cmds
         assert f"{saturated} of {n_cmds} commands" in err
-        assert read_sim_file(art / "sim.json")["pos_rmse"] > 1.0
+        assert json.loads((art / "sim.json").read_text())["pos_rmse"] > 1.0
 
     def test_simulate_of_a_trackable_walk_is_silent(self, workdir, capsys):
         art = workdir / "art"
@@ -390,7 +394,7 @@ class TestPipeline:
 
     def test_end_to_end_tracks_waypoints(self, workdir):
         art = run_pipeline(workdir)
-        sim = read_sim_file(art / "sim.json")
+        sim = json.loads((art / "sim.json").read_text())
         assert sim["pos_rmse"] <= 0.05
         assert sim["cost_discrepancy"] <= 1e-9
 
@@ -426,6 +430,32 @@ class TestPipeline:
         art2 = run_pipeline(d2)
         for name in ("recording.jsonl", "commands.txt", "sim.json"):
             assert (art1 / name).read_bytes() == (art2 / name).read_bytes()
+
+    def test_walk_as_processes_matches_in_process_run(self, workdir, tmp_path):
+        # the five commands as a user runs them: one `python -m egonav.cli`
+        # process each, through the module's __main__ path and its exit code
+        art1 = run_pipeline(workdir, fmt="json")
+        d = tmp_path / "procs"
+        d.mkdir()
+        (d / "spec.json").write_text(json.dumps(E2E_SPEC))
+        (d / "cfg.txt").write_text(E2E_CFG)
+        src = str(Path(egonav.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        rec, art2 = "art/recording.jsonl", d / "art"
+        for argv in (["synth", "spec.json", "--out", "art"],
+                     ["segment", rec, "--out", "art/phases.json"],
+                     ["retarget", rec, "--out", "art/commands.txt"],
+                     ["simulate", "art/commands.txt", rec, "--out", "art/sim.json"],
+                     ["report", "art", "--out", "rep", "--format", "json"]):
+            done = subprocess.run([sys.executable, "-m", "egonav.cli", *argv,
+                                   "--config", "cfg.txt"], cwd=d, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (argv, done.stderr)
+        for name in ("phases.json", "commands.txt", "sim.json"):
+            assert (art2 / name).read_bytes() == (art1 / name).read_bytes(), name
+        assert ((d / "rep" / "report.json").read_bytes()
+                == (workdir / "rep" / "report.json").read_bytes())
 
     def test_default_config_straight_walk_near_max_speed(self, tmp_path):
         # default waypoint spacing (0.25 m) at a 1 m/s walk demands more
@@ -585,18 +615,10 @@ class TestArtifactReaders:
                      "--config", str(workdir / "cfg.txt")]) == 0
         ing = load_config(str(workdir / "cfg.txt")).ingest
         track = extract_waypoints(ep, ing.d_thresh, ing.k_h, ing.forward_axis)
-        rollout = [Pose2(*p) for p in read_sim_file(art / "sim.json")["poses"]]
+        rollout = [Pose2(*p)
+                   for p in json.loads((art / "sim.json").read_text())["poses"]]
         expected = report.trajectory_svg([p for _, p in track.waypoints][1:], rollout)
         assert (workdir / "rep2" / "trajectory.svg").read_text() == expected
-
-    @pytest.mark.parametrize("key", ["poses", "pos_rmse"])
-    def test_sim_file_missing_field(self, workdir, capsys, key):
-        run_pipeline(workdir)
-        sim = workdir / "art" / "sim.json"
-        self.edit_json(sim, lambda obj: obj.pop(key))
-        code, err = self.report(workdir, capsys)
-        assert code == 2
-        assert str(sim) in err and repr(key) in err
 
     def test_sim_file_with_the_old_walk_copy_reads_fine(self, workdir, capsys):
         # a sim.json from before the command file held the walk also carries
@@ -611,61 +633,41 @@ class TestArtifactReaders:
         assert self.report(workdir, capsys)[0] == 0
         assert {f.name: f.read_bytes() for f in (workdir / "rep2").iterdir()} == new
 
-    def test_sim_file_of_another_walk_asks_to_rerun_simulate(self, workdir, capsys):
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.pop("poses"),
+        lambda obj: obj.pop("pos_rmse"),
+        lambda obj: obj["poses"].pop(),
+        *[lambda obj, kv=kv: obj.update([kv]) for kv in [
+            ("pos_rmse", float("nan")), ("yaw_rmse", True), ("pos_max", float("inf")),
+            ("cost_discrepancy", "0.0"), ("pos_rmse", -3.0), ("pos_max", -3.0),
+            ("yaw_rmse", -3.0), ("cost_discrepancy", -3.0)]],
+        lambda obj: obj["poses"].append([0.0, "y", 0.0]),
+        *[lambda obj, c=c: obj["poses"].__setitem__(3, [c, 0, 0])
+          for c in (float("nan"), float("inf"), -float("inf"), True)],
+        "[" * 100_000 + "]" * 100_000,
+        None,
+    ], ids=["missing-poses", "missing-pos-rmse", "pose-of-another-walk", "nan-pos-rmse",
+            "bool-yaw-rmse", "inf-pos-max", "str-discrepancy", "negative-pos-rmse",
+            "negative-pos-max", "negative-yaw-rmse", "negative-cost-discrepancy",
+            "malformed-pose", "nan-coordinate", "inf-coordinate", "-inf-coordinate",
+            "bool-coordinate", "nested-too-deep", "deleted"])
+    def test_report_ignores_sim_json(self, workdir, capsys, edit):
+        # report replays the command file itself: no sim.json, or one
+        # edited out of shape, changes none of its outputs
         run_pipeline(workdir)
-        sim = workdir / "art" / "sim.json"
-        self.edit_json(sim, lambda obj: obj["poses"].pop())
-        code, err = self.report(workdir, capsys)
-        assert code == 2
-        assert str(sim) in err and str(workdir / "art" / "commands.txt") in err
-        assert "re-run simulate" in err
-        assert not (workdir / "rep2" / "trajectory.svg").exists()
-
-    @pytest.mark.parametrize("key, value", [
-        ("pos_rmse", float("nan")), ("yaw_rmse", True), ("pos_max", float("inf")),
-        ("cost_discrepancy", "0.0"),
-    ], ids=["nan-pos-rmse", "bool-yaw-rmse", "inf-pos-max", "str-discrepancy"])
-    def test_sim_file_scalar_not_a_finite_number(self, workdir, capsys, key, value):
-        run_pipeline(workdir)
-        sim = workdir / "art" / "sim.json"
-        self.edit_json(sim, lambda obj: obj.__setitem__(key, value))
-        code, err = self.report(workdir, capsys)
-        assert code == 2
-        assert str(sim) in err and repr(key) in err
-        assert not (workdir / "rep2" / "report.txt").exists()
-
-    @pytest.mark.parametrize("key", ["pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy"])
-    def test_sim_file_negative_score(self, workdir, capsys, key):
-        run_pipeline(workdir)
-        sim = workdir / "art" / "sim.json"
-        self.edit_json(sim, lambda obj: obj.__setitem__(key, -3.0))
-        code, err = self.report(workdir, capsys)
-        assert code == 2
-        assert str(sim) in err and f"{key!r} must be a finite number >= 0" in err
-        assert not (workdir / "rep2" / "report.txt").exists()
-        with pytest.raises(InvalidArgumentError, match=re.escape(repr(key))):
-            read_sim_file(sim)
-
-    def test_sim_file_malformed_pose(self, workdir, capsys):
-        run_pipeline(workdir)
-        sim = workdir / "art" / "sim.json"
-        self.edit_json(sim, lambda obj: obj["poses"].append([0.0, "y", 0.0]))
-        code, err = self.report(workdir, capsys)
-        assert code == 2 and str(sim) in err
-
-    @pytest.mark.parametrize("key", ["poses"])
-    @pytest.mark.parametrize("coord", [float("nan"), float("inf"),
-                                       -float("inf"), True],
-                             ids=["nan", "inf", "-inf", "bool"])
-    def test_sim_file_non_finite_or_bool_coordinate(self, workdir, capsys,
-                                                    key, coord):
-        run_pipeline(workdir)
-        sim = workdir / "art" / "sim.json"
-        self.edit_json(sim, lambda obj: obj[key].__setitem__(3, [coord, 0, 0]))
-        code, err = self.report(workdir, capsys)
-        assert code == 2
-        assert str(sim) in err and repr(key) in err
-        assert not (workdir / "rep2" / "trajectory.svg").exists()
+        rep, sim = workdir / "rep2", workdir / "art" / "sim.json"
+        capsys.readouterr()
+        assert self.report(workdir, capsys) == (0, "")
+        untouched = {f.name: f.read_bytes() for f in rep.iterdir()}
+        shutil.rmtree(rep)
+        if edit is None:
+            sim.unlink()
+        elif isinstance(edit, str):
+            sim.write_text(edit)
+        else:
+            self.edit_json(sim, edit)
+        assert self.report(workdir, capsys) == (0, "")
+        assert {f.name: f.read_bytes() for f in rep.iterdir()} == untouched
 
     @pytest.mark.parametrize("label", [7, 2.7, 1.0, True, "1", -1, {"0": 1}],
                              ids=["seven", "fraction", "float-one", "bool",
@@ -705,7 +707,7 @@ class TestArtifactReaders:
         assert code == 2
         assert str(phases) in err and words in err
 
-    @pytest.mark.parametrize("name", ["spec.json", "phases.json", "truth.json", "sim.json"])
+    @pytest.mark.parametrize("name", ["spec.json", "phases.json", "truth.json"])
     def test_json_nested_too_deep(self, workdir, capsys, name):
         run_pipeline(workdir)
         path = workdir / ("art" if name != "spec.json" else "") / name
@@ -728,6 +730,47 @@ class TestArtifactReaders:
             code, err = self.report(workdir, capsys)
         assert code == 2
         assert str(path) in err and "'labels'" in err
+
+    def test_report_says_why_it_leaves_out_the_accuracy(self, workdir, capsys):
+        # segment drops low-confidence frames, so a shorter phase track is
+        # no input error: the accuracy goes, and one stderr line says why
+        run_pipeline(workdir)
+        art = workdir / "art"
+        n = len(json.loads((art / "phases.json").read_text())["labels"])
+        self.edit_json(art / "truth.json",
+                       lambda obj: obj.update(labels=obj["labels"][:100]))
+        code, err = self.report(workdir, capsys)
+        assert code == 0 and err.count("\n") == 1
+        assert all(str(w) in err for w in (
+            art / "phases.json", art / "truth.json", n, 100, "segmentation_accuracy"))
+        assert "segmentation_accuracy" not in (workdir / "rep2" / "report.txt").read_text()
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('{', '{"seed": 7, ', "'seed'"),
+        ('"config": {', '"config": {"tau_pdf": 0.5, ', "'tau_pdf'"),
+    ], ids=["seed", "config-key"])
+    @pytest.mark.parametrize("name", ["phases.json", "truth.json"])
+    def test_phase_file_repeated_key(self, workdir, capsys, name, old, new, key):
+        run_pipeline(workdir)
+        path = workdir / "art" / name
+        path.write_text(path.read_text().replace(old, new, 1))
+        code, err = self.report(workdir, capsys)
+        assert code == 2
+        assert str(path) in err and f"key {key} given twice" in err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"segments": [{"kind": "straight", "duration": 2.0}], "fps": 30.0, "fps": 10.0}',
+         "'fps'"),
+        ('{"segments": [{"kind": "straight", "duration": 2.0, "duration": 0.5}]}',
+         "'duration'"),
+    ], ids=["spec-key", "segment-key"])
+    def test_synth_spec_repeated_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        assert main(["synth", str(path), "--out", str(tmp_path / "art")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"key {key} given twice" in err
+        assert not (tmp_path / "art").exists()
 
     @pytest.mark.parametrize("spec, words", [
         ({"segments": [{"kind": "straight", "duration": 1e999}]}, "'duration'"),

@@ -1,6 +1,6 @@
 """Property tests for the window chain, the run finder, the command file,
-the pose algebra and the config parser, and fuzzers of simulate's
-command-file input (skipped without hypothesis)."""
+the pose algebra and the config parser, and fuzzers of the command-file
+input of simulate and report (skipped without hypothesis)."""
 
 import contextlib
 import dataclasses
@@ -284,8 +284,23 @@ def test_simulate_of_a_mutated_command_file_exits_0_or_2(replay_inputs, data):
     # simulate warns about in one line
     code, err = simulate_exit(rec, "\n".join(rows) + "\n")
     assert code == 0 and err.startswith("egonav: warning: ") and err.count("\n") == 1
-    code, err = simulate_exit(rec, data.draw(mutated_rows(rows)))
+    text = data.draw(mutated_rows(rows))
+    code, err = simulate_exit(rec, text)
     assert code in (0, 2) and "Traceback" not in err
+    # report replays the same file itself, so it scores what simulate scored
+    art = rec.parent / "fuzzed"
+    art.mkdir(exist_ok=True)
+    (art / "commands.txt").write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        report_code = main(["report", str(art), "--out", str(art / "rep"),
+                            "--format", "json"])
+    assert report_code in (0, 2) and "Traceback" not in err.getvalue()
+    if code == report_code == 0:
+        sim = json.loads((rec.parent / "sim.json").read_text())
+        summary = json.loads((art / "rep" / "report.json").read_text())
+        for key in ("pos_rmse", "pos_max", "yaw_rmse", "cost_discrepancy"):
+            assert summary[key] == sim[key], key
 
 
 @PROPERTY

@@ -563,6 +563,29 @@ class TestCommandFileErrors:
         err = capsys.readouterr().err
         assert str(tmp_path / "commands.txt") in err and words in err
 
+    @pytest.mark.parametrize("text, words", [
+        (OBJECTIVE_ROW.replace("dt=0.16", "dt=0.16 dt=0.5") + WALK + W0,
+         "line 1: key 'dt' given twice"),
+        (OBJECTIVE_ROW + WALK.replace("x=0.08", "x=0.08 x=9.0") + W0,
+         "line 4: key 'x' given twice"),
+        (OBJECTIVE_ROW + WALK.replace("theta=0.016", "theta=0.016 bogus=3") + W0,
+         "line 4: a '#! waypoint=' row has the keys waypoint, x, y, theta, each once; "
+         "this one differs in 'bogus'"),
+        (OBJECTIVE_ROW + WALK + W0.replace("iterations=3", "iterations=3 iterations=9"),
+         "line 5: key 'iterations' given twice"),
+        (OBJECTIVE_ROW + WALK + W0.replace("converged=1", "converged=1 bogus=3"),
+         "line 5: a '#! window=' row has the keys window, cost_total, cost_pos, "
+         "cost_yaw, cost_smooth, iterations, converged, each once; this one differs "
+         "in 'bogus'"),
+        (OBJECTIVE_ROW + WALK.replace("\n", f" recording_sha256={'1' * 64}\n", 1) + W0,
+         "line 2: key 'recording_sha256' given twice"),
+    ], ids=["objective-key-twice", "waypoint-key-twice", "waypoint-unknown-key",
+            "window-key-twice", "window-unknown-key", "digest-twice-in-a-row"])
+    def test_record_key_repeated_or_unknown(self, tmp_path, capsys, text, words):
+        self.check(tmp_path, text)
+        err = capsys.readouterr().err
+        assert str(tmp_path / "commands.txt") in err and words in err
+
     def test_replay_without_walk_record_asks_to_rerun_retarget(self, tmp_path, capsys):
         # a file written before the record existed: every reader rejects it
         self.check(tmp_path, self.OBJECTIVE_ROW + self.W0)

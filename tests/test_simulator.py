@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from egonav.ingest import parse_recording, serialize_recording
 from egonav.retarget import RetargetConfig, RetargetProblem, RetargetSolution, cost
 from egonav.segmentation import MANIPULATION, NAVIGATION, PhaseTrack
 from egonav.simulator import (SimResult, SynthSegment, SynthSpec,
-                              read_sim_file, score_segmentation, simulate,
-                              spec_from_json, synthesize, write_sim_file)
+                              score_segmentation, simulate, spec_from_json,
+                              synthesize, write_sim_file)
 
 from conftest import two_zone_spec
 from oracles import rollout
@@ -187,7 +188,7 @@ def test_sim_file_round_trip(tmp_path):
                    desired, CFG)
     path = tmp_path / "sim.json"
     write_sim_file(path, res)
-    obj = read_sim_file(path)
+    obj = json.loads(path.read_text())
     assert obj["pos_rmse"] == res.pos_rmse
     assert obj["cost_discrepancy"] == res.cost_discrepancy
     assert len(obj["poses"]) == 5
