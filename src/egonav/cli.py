@@ -187,10 +187,7 @@ def cmd_retarget(args, cfg) -> int:
     def run(path, out):
         track = ingest.extract_waypoints(_load_episode(path, cfg), cfg.ingest.d_thresh,
                                          forward_axis=cfg.ingest.forward_axis)
-        if len(track.waypoints) < 2:
-            solutions = []  # stationary recording: nothing to command
-        else:
-            solutions = retarget.retarget_track(track, cfg.retarget)
+        solutions = retarget.retarget_track(track, cfg.retarget)
         walk = retarget.WalkRecord(_sha256(path), tuple(p for _, p in track.waypoints))
         retarget.write_command_file(out, solutions, cfg.retarget, walk)
 

@@ -35,11 +35,7 @@ class NoManipulationZonesError(EgonavError, RuntimeError):
 
 
 class NumericalFailureError(EgonavError, RuntimeError):
-    """The solver produced a non-finite cost; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """The solver produced a non-finite cost; the message says where."""
 
 
 class ConfigError(EgonavError, ValueError):

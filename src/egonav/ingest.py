@@ -12,7 +12,8 @@ so serialize -> parse reproduces an episode bit-exactly.
 An :class:`Episode` holds a recording as one array of numbers, a row per
 frame; the parser fills it straight from the decoded lines, and every
 later stage reads its columns. The parser reads each decoded frame's
-fields once: the same pass builds the row and checks it in aggregate.
+fields once: the same pass builds the row and checks it in aggregate,
+and one check of all rows after the loop judges quaternion norm and time.
 """
 
 from __future__ import annotations
@@ -222,19 +223,24 @@ def _decode(line: str, line_no: int):
         raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from None
 
 
-def _check_quaternions(rows: np.ndarray, line_nos: list[int]) -> None:
-    """Raise the ParseError of the first row whose quaternion is not unit norm.
-
-    The norm is summed as ``w*w + x*x + y*y + z*z``.
-    """
-    w, x, y, z = rows[:, 4:8].T
+def _check_rows(flat: list, line_nos: list[int]) -> np.ndarray:
+    """The rows of ``flat``, or the error of the first row whose quaternion
+    (``w*w + x*x + y*y + z*z``) is not unit norm or whose time is not after
+    the row before's; on one row the quaternion wins."""
+    rows = np.array(flat, dtype=float).reshape(-1, _WIDTH)
+    t, (w, x, y, z) = rows[:, 0], rows[:, 4:8].T
     with np.errstate(over="ignore"):  # a norm that overflows is inf, and fails
         norm = np.sqrt(w * w + x * x + y * y + z * z)
-    bad = np.flatnonzero(np.abs(norm - 1.0) > 1e-9)
+    bad_q = np.abs(norm - 1.0) > 1e-9
+    bad = np.flatnonzero(bad_q | np.append(False, t[1:] <= t[:-1]))
     if len(bad):
         i = bad[0]
-        raise ParseError(f"quaternion norm {float(norm[i])} != 1",
-                         line_nos[i]) from None
+        if bad_q[i]:
+            raise ParseError(f"quaternion norm {float(norm[i])} != 1",
+                             line_nos[i]) from None
+        raise SchemaError(f"line {line_nos[i]}: timestamp {float(t[i])} not strictly "
+                          f"increasing (previous {float(t[i - 1])})") from None
+    return rows
 
 
 def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0) -> Episode:
@@ -247,13 +253,12 @@ def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0) -> Episo
     faulty line wins.
 
     Each line's numbers go onto one flat list, which becomes the
-    episode's rows at the end; the quaternion norms are checked there,
-    over all rows at once, and also before any later line's error is
-    raised, so that an earlier faulty quaternion still wins.
+    episode's rows at the end. One row check judges the quaternion norms
+    and the time order there, over all rows at once, and also before any
+    later line's error is raised, so that an earlier faulty row still wins.
     """
     flat: list = []
     line_nos: list[int] = []
-    last_t = -math.inf
     try:
         for line_no, line in enumerate(stream, start=1):
             line = line.strip()
@@ -264,25 +269,14 @@ def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0) -> Episo
             # JSON true and false decode to bools, which sum like 1 and 0
             if row is None or "true" in line or "false" in line:
                 row = _check_frame(obj, line_no)
-            t = float(row[0])
             flat += row
-            # the row goes in first: a bad quaternion on this line wins
             line_nos.append(line_no)
-            if t <= last_t:
-                raise SchemaError(
-                    f"line {line_no}: timestamp {t} not strictly increasing "
-                    f"(previous {last_t})"
-                )
-            last_t = t
     except Exception:
-        _check_quaternions(np.array(flat, dtype=float).reshape(-1, _WIDTH),
-                           line_nos)
+        _check_rows(flat, line_nos)
         raise
     if not line_nos:
         raise SchemaError("recording contains no frames")
-    rows = np.array(flat, dtype=float).reshape(-1, _WIDTH)
-    _check_quaternions(rows, line_nos)
-    return Episode(rows, fps)
+    return Episode(_check_rows(flat, line_nos), fps)
 
 
 def serialize_recording(ep: Episode, stream: IO[str]) -> None:

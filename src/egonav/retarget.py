@@ -278,8 +278,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     J = model.jacobian(parts)
     f = float(ro.r @ ro.r)
     if not math.isfinite(f):
-        raise NumericalFailureError("initial cost is not finite",
-                                    last_iterate=z.reshape(-1, 2))
+        raise NumericalFailureError("initial cost is not finite")
     iters = 0
     a = 1.0
     stalled = False
@@ -320,8 +319,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             ro_new, parts = model.rollout(z_new)
             f_new = float(ro_new.r @ ro_new.r)
             if not math.isfinite(f_new):
-                raise NumericalFailureError("cost became non-finite during the arc "
-                                            "search", last_iterate=z.reshape(-1, 2))
+                raise NumericalFailureError("cost became non-finite during the arc search")
             if f_new <= f + 1e-4 * (a * slope + float(g_active @ (z_new - z))):
                 break
             a *= 0.5
@@ -349,8 +347,9 @@ def solve(prob: RetargetProblem) -> RetargetSolution:
     K = len(prob.desired)
     model = _Window(prob)
     lo, hi = np.tile([[cfg.v_min, cfg.omega_min], [cfg.v_max, cfg.omega_max]], K)
-    runs = [_gauss_newton(model, np.clip(z0.ravel(), lo, hi), lo, hi, cfg)
-            for z0 in (np.zeros((K, 2)), _fd_inversion_init(prob))]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cost raises
+        runs = [_gauss_newton(model, np.clip(z0.ravel(), lo, hi), lo, hi, cfg)
+                for z0 in (np.zeros((K, 2)), _fd_inversion_init(prob))]
     z, _, iters, conv, ro = min(runs, key=lambda run: run[1])  # ties: earliest start
     cmds = tuple(VelocityCommand(v, w) for v, w in z.reshape(-1, 2).tolist())
     return RetargetSolution(cmds, *ro.costs(), iters, conv)
@@ -376,8 +375,7 @@ def chain_windows(start: Pose2, desired: Sequence[Pose2], sizes: Iterable[int],
         try:
             sol = commands(i, prob)
         except NumericalFailureError as exc:
-            raise NumericalFailureError(
-                f"window {i}: {exc}", exc.last_iterate) from exc
+            raise NumericalFailureError(f"window {i}: {exc}") from exc
         ro = _Window(prob).rollout([[c.v, c.omega] for c in sol.cmds])[0]
         yield sol, ro
         start, prev_cmd = ro.poses()[-1], sol.cmds[-1]
@@ -388,11 +386,12 @@ def retarget_track(track: WaypointTrack, cfg: RetargetConfig) -> list[RetargetSo
     """Solve a whole waypoint track in chained windows of ``cfg.window``.
 
     The first waypoint is the start pose; the others are the desired
-    sequence, chained by :func:`chain_windows`.
+    sequence, chained by :func:`chain_windows`: one waypoint gives ``[]``,
+    and none raises :class:`InvalidArgumentError`.
     """
     poses = [p for _, p in track.waypoints]
-    if len(poses) < 2:
-        raise InvalidArgumentError("need at least 2 waypoints to retarget")
+    if not poses:
+        raise InvalidArgumentError("track has no waypoints")
     n = len(poses) - 1
     sizes = [min(cfg.window, n - w0) for w0 in range(0, n, cfg.window)]
     chain = chain_windows(poses[0], poses[1:], sizes, cfg,
@@ -446,14 +445,15 @@ def _number(raw: str) -> float:
     return x
 
 
-def _record(fields: dict, keys: tuple[str, ...], expected: int) -> None:
-    """Check that a '#!' row has just ``keys`` and its ``keys[0]`` is ``expected``."""
+def _record(fields: dict, keys: tuple[str, ...], expected: int | None = None) -> None:
+    """Check that a '#!' row has just ``keys`` and its ``keys[0]`` is ``expected``,
+    if given."""
     key = keys[0]
     if fields.keys() != set(keys):
         odd = ", ".join(map(repr, sorted(fields.keys() ^ set(keys))))
         raise InvalidArgumentError(f"a '#! {key}=' row has the keys {', '.join(keys)}, "
                                    f"each once; this one differs in {odd}")
-    if int(fields[key]) != expected:
+    if expected is not None and int(fields[key]) != expected:
         raise InvalidArgumentError(
             f"'{key}={fields[key]}' where {key}={expected} comes next: "
             f"a {key} number repeated or skipped")
@@ -512,7 +512,8 @@ def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecor
                         if not re.fullmatch("[0-9a-f]{64}", digest):
                             raise ValueError(f"{digest!r} is not a SHA-256 digest")
                         record_line = n
-                    elif cfg is None and fields.keys() == set(OBJECTIVE):
+                    elif cfg is None and fields.keys() >= set(OBJECTIVE):
+                        _record(fields, OBJECTIVE)  # names a key beyond them
                         cfg = RetargetConfig(**{k: _number(x) for k, x in fields.items()})
                     else:
                         raise InvalidArgumentError(

@@ -273,7 +273,10 @@ def classify(ep: Episode, model: GmmModel, cfg: PhaseConfig) -> PhaseTrack:
 
 def segment(ep: Episode, cfg: Optional[PhaseConfig] = None,
             seed: int = 0) -> tuple[PhaseTrack, GmmModel]:
-    """Run the full phase-identification pipeline on one episode."""
+    """Run the full phase-identification pipeline on one episode.
+
+    A mixture fit that overflows raises :class:`InvalidArgumentError`.
+    """
     cfg = cfg or PhaseConfig()
     v_head, v_hand = velocities(ep)
     mask = candidate_mask(v_head, v_hand, cfg)
@@ -281,7 +284,12 @@ def segment(ep: Episode, cfg: Optional[PhaseConfig] = None,
         raise NoManipulationZonesError(
             "no manipulation candidate frames after duration filtering"
         )
-    model = gmm_fit(ep.head_pos[mask, :2], cfg, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        model = gmm_fit(ep.head_pos[mask, :2], cfg, seed=seed)
+    if not all(np.isfinite(a).all() for a in (model.weights, model.means,
+                                              model.covariances)):
+        raise InvalidArgumentError("the mixture fit of the candidate head positions "
+                                   "overflowed: its parameters are not finite")
     return classify(ep, model, cfg), model
 
 
@@ -289,7 +297,7 @@ def write_phase_file(path, track: PhaseTrack, model: Optional[GmmModel],
                      cfg: PhaseConfig, seed: int) -> None:
     """One JSON record per episode: labels, GMM parameters, config echo, seed."""
     obj = {
-        "labels": [int(v) for v in track.labels],
+        "labels": track.labels.tolist(),
         "gmm": None if model is None else {
             "weights": model.weights.tolist(),
             "means": model.means.tolist(),

@@ -138,8 +138,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     J = model.jacobian(parts)
     f = float(ro.r @ ro.r)
     if not math.isfinite(f):
-        raise NumericalFailureError("initial cost is not finite",
-                                    last_iterate=z.reshape(-1, 2))
+        raise NumericalFailureError("initial cost is not finite")
     iters = 0
     a = 1.0
     stalled = False
@@ -176,7 +175,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             f_new = float(ro_new.r @ ro_new.r)
             if not math.isfinite(f_new):
                 raise NumericalFailureError("cost became non-finite during the arc "
-                                            "search", last_iterate=z.reshape(-1, 2))
+                                            "search")
             if f_new <= f + 1e-4 * (a * slope + float((g - g_free) @ (z_new - z))):
                 break
             a *= 0.5

@@ -233,6 +233,51 @@ class TestExitCodes:
         assert main(["report", str(art), "--out", str(tmp_path / "rep")]) == 0
         assert "<polyline" in (tmp_path / "rep" / "trajectory.svg").read_text()
 
+    def small_walk(self, tmp_path):
+        """A 3 s pause, a 2 s straight and a 1 s arc at 30 fps; its recording."""
+        spec = {"segments": [{"kind": "pause-and-manipulate", "duration": 3.0},
+                             {"kind": "straight", "duration": 2.0, "speed": 1.0},
+                             {"kind": "arc", "duration": 1.0, "speed": 1.0,
+                              "turn_rate": 0.8}],
+                "fps": 30.0, "noise_std": 0.002}
+        (tmp_path / "s.json").write_text(json.dumps(spec))
+        assert main(["synth", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path / "art")]) == 0
+        return tmp_path / "art" / "recording.jsonl"
+
+    def test_segment_whose_fit_overflows_is_input_error(self, tmp_path, capsys):
+        rec = self.small_walk(tmp_path)
+        frames = [json.loads(line) for line in rec.read_text().splitlines()]
+        for frame in frames:  # every head and hand x, far out
+            for part in ("head", "lh", "rh"):
+                if part in frame:
+                    frame[part]["p"][0] += 1e200
+        rec.write_text("".join(json.dumps(f) + "\n" for f in frames))
+        out = tmp_path / "phases.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["segment", str(rec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("egonav: the mixture fit") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["retarget.lambda_pos = 1e308",
+                                      "retarget.lambda_smooth = 1e308",
+                                      "retarget.dt = 1e300"],
+                             ids=["lambda_pos", "lambda_smooth", "dt"])
+    def test_retarget_whose_cost_overflows_is_numerical_failure(self, tmp_path, capsys,
+                                                                line):
+        rec = self.small_walk(tmp_path)
+        (tmp_path / "cfg.txt").write_text(line + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["retarget", str(rec), "--out", str(tmp_path / "c.txt"),
+                         "--config", str(tmp_path / "cfg.txt")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("egonav: window 0: ") and err.count("\n") == 1
+
 
 class TestPipeline:
     def test_simulate_replays_at_the_command_file_dt(self, workdir):
@@ -620,19 +665,6 @@ class TestArtifactReaders:
         expected = report.trajectory_svg([p for _, p in track.waypoints][1:], rollout)
         assert (workdir / "rep2" / "trajectory.svg").read_text() == expected
 
-    def test_sim_file_with_the_old_walk_copy_reads_fine(self, workdir, capsys):
-        # a sim.json from before the command file held the walk also carries
-        # `desired` and `reported_cost`; report ignores both
-        run_pipeline(workdir)
-        art = workdir / "art"
-        assert self.report(workdir, capsys)[0] == 0
-        new = {f.name: f.read_bytes() for f in (workdir / "rep2").iterdir()}
-        walk = read_replay(art / "commands.txt")[2]
-        self.edit_json(art / "sim.json", lambda obj: obj.update(
-            desired=[list(p) for p in walk.waypoints[1:]], reported_cost=1.0))
-        assert self.report(workdir, capsys)[0] == 0
-        assert {f.name: f.read_bytes() for f in (workdir / "rep2").iterdir()} == new
-
     @pytest.mark.parametrize("edit", [
         lambda obj: obj.pop("poses"),
         lambda obj: obj.pop("pos_rmse"),
@@ -646,11 +678,14 @@ class TestArtifactReaders:
           for c in (float("nan"), float("inf"), -float("inf"), True)],
         "[" * 100_000 + "]" * 100_000,
         None,
+        # a sim.json from before the command file held the walk also carried
+        # `desired` (the waypoints, shaped like the poses) and `reported_cost`
+        lambda obj: obj.update(desired=obj["poses"][1:], reported_cost=1.0),
     ], ids=["missing-poses", "missing-pos-rmse", "pose-of-another-walk", "nan-pos-rmse",
             "bool-yaw-rmse", "inf-pos-max", "str-discrepancy", "negative-pos-rmse",
             "negative-pos-max", "negative-yaw-rmse", "negative-cost-discrepancy",
             "malformed-pose", "nan-coordinate", "inf-coordinate", "-inf-coordinate",
-            "bool-coordinate", "nested-too-deep", "deleted"])
+            "bool-coordinate", "nested-too-deep", "deleted", "old-walk-copy"])
     def test_report_ignores_sim_json(self, workdir, capsys, edit):
         # report replays the command file itself: no sim.json, or one
         # edited out of shape, changes none of its outputs

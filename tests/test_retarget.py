@@ -306,8 +306,10 @@ class TestRetargetTrack:
         assert sols[0].cmds == direct.cmds
 
     def test_too_few_waypoints(self):
+        # one waypoint is a stationary walk: no window, nothing to command
+        assert retarget_track(self.straight_track(1), CFG) == []
         with pytest.raises(InvalidArgumentError):
-            retarget_track(self.straight_track(1), CFG)
+            retarget_track(WaypointTrack(()), CFG)
 
     def test_simulate_replays_the_chain_exactly(self, two_zone_run):
         poses, sols = two_zone_run
@@ -579,12 +581,17 @@ class TestCommandFileErrors:
          "in 'bogus'"),
         (OBJECTIVE_ROW + WALK.replace("\n", f" recording_sha256={'1' * 64}\n", 1) + W0,
          "line 2: key 'recording_sha256' given twice"),
+        (OBJECTIVE_ROW.replace("\n", " bogus=1\n") + WALK + W0,
+         "line 1: a '#! dt=' row has the keys dt, lambda_pos, lambda_yaw, lambda_smooth, "
+         "v_min, v_max, omega_min, omega_max, each once; this one differs in 'bogus'"),
     ], ids=["objective-key-twice", "waypoint-key-twice", "waypoint-unknown-key",
-            "window-key-twice", "window-unknown-key", "digest-twice-in-a-row"])
+            "window-key-twice", "window-unknown-key", "digest-twice-in-a-row",
+            "objective-unknown-key"])
     def test_record_key_repeated_or_unknown(self, tmp_path, capsys, text, words):
         self.check(tmp_path, text)
         err = capsys.readouterr().err
         assert str(tmp_path / "commands.txt") in err and words in err
+        assert "re-run" not in err  # a hand edit needs no new solve
 
     def test_replay_without_walk_record_asks_to_rerun_retarget(self, tmp_path, capsys):
         # a file written before the record existed: every reader rejects it

@@ -1,6 +1,7 @@
 """Every egonav module references each name it imports and each of its
-private module-level functions, classes and constants, and every public
-module-level function is called by the pipeline or by the benchmark.
+private module-level functions, classes and constants, every public
+module-level function is called by the pipeline or by the benchmark, and
+every function reads each of its parameters.
 
 ``__init__.py`` is left out: its imports are the package's exports.
 """
@@ -119,3 +120,47 @@ def test_every_public_function_is_called_by_the_pipeline_or_the_benchmark():
     callers = [p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))]
     assert callers, f"no benchmark sources under {PERFBENCH}"
     assert unreached_public_functions(modules, callers) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter of a function or method in
+    ``source`` that its body, nested functions included, never reads.
+
+    ``self`` and ``cls`` are left out, and so are the ``cmd_*`` handlers:
+    the CLI calls every handler with one ``(args, cfg)`` signature.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("cmd_")):
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{node.name}.{p}" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    return unread
+
+
+def test_unread_parameters_finds_only_unread_ones():
+    source = ("def f(a, b, /, *rest, c, d=1, **kw):\n    return a + c\n"
+              "class K:\n    def m(self, x):\n        return 1\n"
+              "    @classmethod\n    def n(cls, y):\n        return y\n"
+              "def g(p):\n    def h(q):\n        return p\n    return h\n"
+              "def cmd_go(args, cfg):\n    return args\n")
+    assert unread_parameters(source) == ["f.b", "f.d", "f.rest", "f.kw", "m.x",
+                                         "h.q"]
+
+
+# parameters no code reads but kept for now, each with its reason
+UNREAD_ALLOWED = {
+    # perfbench/reference.py passes k_h positionally: both go in one change
+    "ingest.py": ["extract_waypoints.k_h"],
+}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_every_parameter(module):
+    path = SRC / module
+    assert unread_parameters(path.read_text()) == UNREAD_ALLOWED.get(module, [])
