@@ -33,7 +33,7 @@ from pathlib import Path
 
 from . import ingest, report, retarget, segmentation, simulator
 from .config import load_config
-from .errors import (EgonavError, InvalidArgumentError, NoManipulationZonesError,
+from .errors import (InvalidArgumentError, NoManipulationZonesError,
                      NumericalFailureError)
 
 EXIT_OK = 0
@@ -316,7 +316,8 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"egonav: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (EgonavError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (InvalidArgumentError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"egonav: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .geometry import FORWARD_AXES
 from .ingest import DEFAULT_D_THRESH
 from .retarget import RetargetConfig
@@ -65,7 +65,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+            raise InvalidArgumentError("seed must be >= 0")
 
 
 _SECTIONS = {
@@ -84,11 +84,12 @@ def _coerce(raw: str, typ, key: str):
             return value
     except ValueError:
         pass
-    raise ConfigError(f"invalid value {raw!r} for key {key!r}")
+    raise InvalidArgumentError(f"invalid value {raw!r} for key {key!r}")
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Parse config text; unknown, repeated or malformed lines raise ConfigError."""
+    """Parse config text; an unknown, repeated or malformed line, or a value
+    a section rejects, raises :class:`InvalidArgumentError`."""
     values: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     seed = 0
     seen: dict[str, int] = {}  # key -> the line that gave it
@@ -97,24 +98,24 @@ def parse_config(text: str) -> PipelineConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value'")
+            raise InvalidArgumentError(f"line {line_no}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key in seen:
-            raise ConfigError(f"line {line_no}: key {key!r} given twice, "
-                              f"on lines {seen[key]} and {line_no}")
+            raise InvalidArgumentError(f"line {line_no}: key {key!r} given twice, "
+                                       f"on lines {seen[key]} and {line_no}")
         seen[key] = line_no
         if key == "seed":
             seed = _coerce(raw, int, key)
             continue
         if "." not in key:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            raise InvalidArgumentError(f"line {line_no}: unknown key {key!r}")
         section, name = key.split(".", 1)
         cls = _SECTIONS.get(section)
         if cls is None:
-            raise ConfigError(f"line {line_no}: unknown section {section!r}")
+            raise InvalidArgumentError(f"line {line_no}: unknown section {section!r}")
         typ = {f.name: f.type for f in fields(cls)}.get(name)
         if typ is None:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            raise InvalidArgumentError(f"line {line_no}: unknown key {key!r}")
         typ = {"float": float, "int": int, "str": str}.get(typ, typ)
         values[section][name] = _coerce(raw, typ, key)
 
@@ -124,14 +125,15 @@ def parse_config(text: str) -> PipelineConfig:
             sections[section] = cls(**values[section])
         except ValueError as exc:
             # every section check names its key first: "window must be >= 1"
-            raise ConfigError(f"{section}.{exc}") from None
+            raise InvalidArgumentError(f"{section}.{exc}") from None
     return PipelineConfig(**sections, seed=seed)
 
 
 def load_config(path=None) -> PipelineConfig:
     """Load a config file; None or an empty file yields pure defaults.
 
-    A path that does not exist raises :class:`ConfigError` (exit 2).
+    A path that does not exist, or text :func:`parse_config` rejects, raises
+    :class:`InvalidArgumentError` (exit 2).
     """
     if path is None:
         return PipelineConfig()
@@ -139,7 +141,7 @@ def load_config(path=None) -> PipelineConfig:
         with open(path) as fh:
             return parse_config(fh.read())
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise InvalidArgumentError(f"config file not found: {path}") from None
 
 
 def effective_parameters(cfg: PipelineConfig) -> dict[str, object]:

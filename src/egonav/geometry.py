@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateOrientationError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,13 +121,13 @@ def ground_poses(positions: np.ndarray, orientations: np.ndarray,
 
 
 def require_yaw(poses: np.ndarray) -> None:
-    """Raise DegenerateOrientationError if a row of ``poses`` has a NaN yaw.
+    """Raise :class:`InvalidArgumentError` if a row of ``poses`` has a NaN yaw.
 
-    ``poses`` are rows of :func:`ground_poses`, which marks an undefined
-    yaw that way.
+    ``poses`` are rows of :func:`ground_poses`, which marks that way a
+    yaw left undefined by a forward axis (anti)parallel to gravity.
     """
     if np.isnan(poses[:, 2]).any():
-        raise DegenerateOrientationError(_DEGENERATE)
+        raise InvalidArgumentError(_DEGENERATE)
 
 
 def _axis(forward_axis: str) -> tuple[float, float, float]:

@@ -26,7 +26,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError, SchemaError
+from .errors import InvalidArgumentError
 from .geometry import Pose2, ground_poses, require_yaw
 
 DEFAULT_D_THRESH = 0.25  # meters between consecutive waypoints
@@ -111,19 +111,21 @@ def _entry(obj: dict, key: str, name: str, line_no: int):
     try:
         return obj[key]
     except KeyError:
-        raise ParseError(f"missing field {name!r}", line_no) from None
+        raise InvalidArgumentError(f"line {line_no}: missing field {name!r}") from None
 
 
 def _object(value, name: str, line_no: int) -> dict:
     if not isinstance(value, dict):
-        raise ParseError(f"field {name!r} must be a JSON object", line_no)
+        raise InvalidArgumentError(
+            f"line {line_no}: field {name!r} must be a JSON object")
     return value
 
 
 def _list(obj: dict, key: str, n: int, name: str, line_no: int) -> list:
     p = _entry(obj, key, name, line_no)
     if not (isinstance(p, list) and len(p) == n):
-        raise ParseError(f"field {name!r} must be a {n}-element list", line_no)
+        raise InvalidArgumentError(
+            f"line {line_no}: field {name!r} must be a {n}-element list")
     return p
 
 
@@ -178,9 +180,9 @@ def _frame_row(obj) -> list | None:
 
 
 def _check_frame(obj, line_no: int) -> list:
-    """The row of ``obj``, or a ParseError naming its first malformed field."""
+    """The row of ``obj``, or an error naming its line and first malformed field."""
     if not isinstance(obj, dict):
-        raise ParseError("a frame must be a JSON object", line_no)
+        raise InvalidArgumentError(f"line {line_no}: a frame must be a JSON object")
     t = _entry(obj, "t", "t", line_no)
     head = _object(_entry(obj, "head", "head", line_no), "head", line_no)
     fields = {"t": [t], "head.p": _list(head, "p", 3, "head.p", line_no),
@@ -192,7 +194,8 @@ def _check_frame(obj, line_no: int) -> list:
             fields[key + ".c"] = [_entry(hand, "c", key + ".c", line_no)]
     for name, values in fields.items():
         if not all(map(finite_number, values)):
-            raise ParseError(f"field {name!r} must hold finite numbers", line_no)
+            raise InvalidArgumentError(
+                f"line {line_no}: field {name!r} must hold finite numbers")
     row = [t, *fields["head.p"], *fields["head.q"]]
     for key in ("lh", "rh"):
         hand = fields.get(key + ".p")
@@ -220,7 +223,8 @@ def _decode(line: str, line_no: int):
         return json.loads(line)
     # a decode error, an integer too long to convert, or nesting too deep
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from None
+        raise InvalidArgumentError(
+            f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
 
 
 def _check_rows(flat: list, line_nos: list[int]) -> np.ndarray:
@@ -236,21 +240,22 @@ def _check_rows(flat: list, line_nos: list[int]) -> np.ndarray:
     if len(bad):
         i = bad[0]
         if bad_q[i]:
-            raise ParseError(f"quaternion norm {float(norm[i])} != 1",
-                             line_nos[i]) from None
-        raise SchemaError(f"line {line_nos[i]}: timestamp {float(t[i])} not strictly "
-                          f"increasing (previous {float(t[i - 1])})") from None
+            msg = f"quaternion norm {float(norm[i])} != 1"
+        else:
+            msg = (f"timestamp {float(t[i])} not strictly increasing "
+                   f"(previous {float(t[i - 1])})")
+        raise InvalidArgumentError(f"line {line_nos[i]}: {msg}") from None
     return rows
 
 
 def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0) -> Episode:
     """Parse a line-delimited recording into an Episode.
 
-    Raises ParseError (with line number) on a malformed line: invalid
-    JSON, a missing field, a field of the wrong shape, a value that is
-    not a finite number, or a quaternion that is not of unit norm. Raises
-    SchemaError on non-monotone timestamps or empty input. The first
-    faulty line wins.
+    Raises :class:`InvalidArgumentError` on empty input, or, naming the line
+    (``line N: ``), on a malformed one: invalid JSON, a missing field, a
+    field of the wrong shape, a value that is not a finite number, a
+    quaternion not of unit norm or a timestamp not after the one before.
+    The first faulty line wins.
 
     Each line's numbers go onto one flat list, which becomes the
     episode's rows at the end. One row check judges the quaternion norms
@@ -275,7 +280,7 @@ def parse_recording(stream: IO[str] | Iterable[str], fps: float = 30.0) -> Episo
         _check_rows(flat, line_nos)
         raise
     if not line_nos:
-        raise SchemaError("recording contains no frames")
+        raise InvalidArgumentError("recording contains no frames")
     return Episode(_check_rows(flat, line_nos), fps)
 
 

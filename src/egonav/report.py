@@ -23,25 +23,25 @@ def _fmt(v: float) -> str:
     return format(v, ".3f")
 
 
-def _scale(points, width, height, margin):
+def _scale(points):
     xs = [p[0] for p in points] or [0.0]  # no points: an empty plot
     ys = [p[1] for p in points] or [0.0]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0, 1e-9)
-    sx = (width - 2 * margin) / span
-    sy = (height - 2 * margin) / span
+    sx = (_W - 2 * _MARGIN) / span
+    sy = (_H - 2 * _MARGIN) / span
 
     def to_px(p):
-        return (margin + (p[0] - x0) * sx,
-                height - margin - (p[1] - y0) * sy)
+        return (_MARGIN + (p[0] - x0) * sx,
+                _H - _MARGIN - (p[1] - y0) * sy)
     return to_px
 
 
-def _polyline(points, color, width=1.5):
+def _polyline(points, color):
     pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
     return (f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="{width}" points="{pts}"/>')
+            f'stroke-width="1.5" points="{pts}"/>')
 
 
 def _svg(body: list[str]) -> str:
@@ -54,7 +54,7 @@ def _svg(body: list[str]) -> str:
 def trajectory_svg(desired: Sequence[Pose2], rollout: Sequence[Pose2]) -> str:
     """Overlay of desired waypoints (gray) and the executed rollout (blue)."""
     all_pts = [(p.x, p.y) for p in desired] + [(p.x, p.y) for p in rollout]
-    to_px = _scale(all_pts, _W, _H, _MARGIN)
+    to_px = _scale(all_pts)
     body = [_polyline([to_px((p.x, p.y)) for p in desired], "#999999"),
             _polyline([to_px((p.x, p.y)) for p in rollout], "#1f6fd0")]
     for p in desired:

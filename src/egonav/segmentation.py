@@ -275,22 +275,27 @@ def segment(ep: Episode, cfg: Optional[PhaseConfig] = None,
             seed: int = 0) -> tuple[PhaseTrack, GmmModel]:
     """Run the full phase-identification pipeline on one episode.
 
-    A mixture fit that overflows raises :class:`InvalidArgumentError`.
+    Every step runs with NumPy's overflow and invalid-value warnings off.
+    A speed that overflows (a step near the float range, or a sub-normal
+    time step) is inf, and a ratio of two such speeds NaN, which makes no
+    frame a candidate; a mixture fit that overflows raises
+    :class:`InvalidArgumentError`. No candidate frames raise
+    :class:`NoManipulationZonesError`.
     """
     cfg = cfg or PhaseConfig()
-    v_head, v_hand = velocities(ep)
-    mask = candidate_mask(v_head, v_hand, cfg)
-    if not mask.any():
-        raise NoManipulationZonesError(
-            "no manipulation candidate frames after duration filtering"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_head, v_hand = velocities(ep)
+        mask = candidate_mask(v_head, v_hand, cfg)
+        if not mask.any():
+            raise NoManipulationZonesError(
+                "no manipulation candidate frames after duration filtering")
         model = gmm_fit(ep.head_pos[mask, :2], cfg, seed=seed)
-    if not all(np.isfinite(a).all() for a in (model.weights, model.means,
-                                              model.covariances)):
-        raise InvalidArgumentError("the mixture fit of the candidate head positions "
-                                   "overflowed: its parameters are not finite")
-    return classify(ep, model, cfg), model
+        if not all(np.isfinite(a).all() for a in (model.weights, model.means,
+                                                  model.covariances)):
+            raise InvalidArgumentError("the mixture fit of the candidate head "
+                                       "positions overflowed: its parameters "
+                                       "are not finite")
+        return classify(ep, model, cfg), model
 
 
 def write_phase_file(path, track: PhaseTrack, model: Optional[GmmModel],

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from egonav import segmentation
-from egonav.errors import DegenerateOrientationError, InvalidArgumentError
+from egonav.errors import InvalidArgumentError
 from egonav.geometry import (Pose2, VelocityCommand, _axis, _DEGENERATE, rotate_vector,
                              wrap)
 from egonav.retarget import RetargetProblem, _Window
@@ -45,11 +45,11 @@ def ground_pose(position: Sequence[float], orientation: Sequence[float],
 
     The planar position comes from (x, y); yaw is the atan2 of the rotated
     forward axis projected onto the plane. An undefined yaw raises
-    :class:`DegenerateOrientationError`.
+    :class:`InvalidArgumentError`.
     """
     fx, fy, fz = rotate_vector(orientation, _axis(forward_axis))
     if math.hypot(fx, fy) < 1e-6:
-        raise DegenerateOrientationError(_DEGENERATE)
+        raise InvalidArgumentError(_DEGENERATE)
     return Pose2(position[0], position[1], wrap(math.atan2(fy, fx)))
 
 

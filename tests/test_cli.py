@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 import egonav
-from egonav import cli, ingest, report, simulator
+from egonav import cli, errors, ingest, report, segmentation, simulator
 from egonav.cli import main
 from egonav.config import load_config, parse_config
-from egonav.errors import ConfigError
+from egonav.errors import InvalidArgumentError
 from egonav.geometry import Pose2
 from egonav.ingest import extract_waypoints, parse_recording
 from egonav.retarget import read_command_file, read_replay
@@ -114,8 +115,9 @@ class TestExitCodes:
     ], ids=["section-key", "seed"])
     def test_config_key_given_twice_is_input_error(self, workdir, capsys, text, key,
                                                    lines):
-        with pytest.raises(ConfigError, match=rf"'{key}' given twice, on lines "
-                                              rf"{lines[0]} and {lines[1]}"):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"'{key}' given twice, on lines "
+                                 rf"{lines[0]} and {lines[1]}"):
             parse_config(text)
         (workdir / "cfg.txt").write_text(text)
         capsys.readouterr()
@@ -261,6 +263,54 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("egonav: the mixture fit") and err.count("\n") == 1
         assert not out.exists()
+
+    def segment_quietly(self, rec, capsys):
+        """Segment ``rec`` with warnings as errors; assert exit 0, no stderr."""
+        out = rec.parent / "phases.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["segment", str(rec), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        return segmentation.read_phase_file(out)[0].labels
+
+    def test_segment_of_sub_normal_time_steps_is_quiet(self, tmp_path, capsys):
+        # every speed over a 1e-320 s step overflows to inf: the still
+        # head's 0 stays 0, so the pause is the manipulation zone
+        lines = []
+        for i in range(200):
+            x = 0.0 if i < 100 else 0.03 * (i - 99)  # a head pause, then a walk
+            frame = {"t": i * 1e-320, "head": {"p": [x, 0.0, 1.6], "q": [1, 0, 0, 0]},
+                     "rh": {"p": [x + 0.3, 0.1 * math.sin(i), 1.2], "c": 1.0}}
+            lines.append(json.dumps(frame) + "\n")
+        rec = tmp_path / "rec.jsonl"
+        rec.write_text("".join(lines))
+        labels = self.segment_quietly(rec, capsys)
+        assert labels.tolist() == [0] * 100 + [1] * 100
+
+    def test_segment_of_head_steps_that_overflow_is_quiet(self, tmp_path, capsys):
+        rec = self.small_walk(tmp_path)
+        frames = [json.loads(line) for line in rec.read_text().splitlines()]
+        for i, x in zip(range(120, 124), (1.7e308, -1.7e308) * 2):  # in the walk
+            frames[i]["head"]["p"][0] = x
+        rec.write_text("".join(json.dumps(f) + "\n" for f in frames))
+        labels = self.segment_quietly(rec, capsys)
+        assert labels[120:124].tolist() == [1] * 4
+
+    def test_each_error_class_has_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
+        codes = {}
+        for cls in vars(errors).values():
+            if not (isinstance(cls, type) and issubclass(cls, Exception)):
+                continue
+
+            def fail(args, cfg, cls=cls):
+                raise cls("what went wrong")
+            monkeypatch.setattr(cli, "cmd_report", fail)
+            codes[cls.__name__] = main(["report", str(tmp_path),
+                                        "--out", str(tmp_path / "rep")])
+            assert capsys.readouterr().err == "egonav: what went wrong\n"
+        assert codes == {"InvalidArgumentError": 2, "NoManipulationZonesError": 3,
+                         "NumericalFailureError": 4}
 
     @pytest.mark.parametrize("line", ["retarget.lambda_pos = 1e308",
                                       "retarget.lambda_smooth = 1e308",

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from egonav.errors import InvalidArgumentError, ParseError, SchemaError
+from egonav.errors import InvalidArgumentError
 from egonav.geometry import yaw_quaternion
 from egonav.ingest import (Episode, extract_waypoints, filter_confidence,
                            parse_recording, serialize_recording)
@@ -47,12 +47,12 @@ class TestParse:
 
     def test_missing_head_named(self):
         bad = '{"t": 0.0, "hand": {}}\n'
-        with pytest.raises(ParseError, match="head"):
+        with pytest.raises(InvalidArgumentError, match="head"):
             parse_recording(io.StringIO(bad))
 
     def test_malformed_json_line_number(self):
         text = self.VALID + "{not json\n"
-        with pytest.raises(ParseError, match="line 4"):
+        with pytest.raises(InvalidArgumentError, match="line 4"):
             parse_recording(io.StringIO(text))
 
     def test_non_monotone_time(self):
@@ -60,11 +60,12 @@ class TestParse:
             '{"t": 0.0, "head": {"p": [0, 0, 0], "q": [1, 0, 0, 0]}}\n'
             '{"t": 0.0, "head": {"p": [0, 0, 0], "q": [1, 0, 0, 0]}}\n'
         )
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidArgumentError,
+                           match="^line 2: timestamp 0.0 not strictly increasing"):
             parse_recording(io.StringIO(text))
 
     def test_empty_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidArgumentError, match="^recording contains no frames$"):
             parse_recording(io.StringIO(""))
 
     HEAD = '"head": {"p": [0.0, 0.0, 1.6], "q": [1.0, 0.0, 0.0, 0.0]}'
@@ -91,7 +92,7 @@ class TestParse:
             "head-number", "hand-list", "frame-list", "bool-t", "bool-c"])
     def test_rejects_malformed_values_with_line_number(self, line):
         text = '{"t": 0.0, %s}\n%s\n' % (self.HEAD, line)
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(InvalidArgumentError, match="line 2"):
             parse_recording(io.StringIO(text))
 
     def test_accepts_finite_values_whose_sum_overflows(self):
@@ -101,12 +102,13 @@ class TestParse:
 
     def test_trailing_data_is_extra_data(self):
         text = '{"t": 0.0, %s}\n{"t": 0.5, %s} x\n' % (self.HEAD, self.HEAD)
-        with pytest.raises(ParseError, match=r"^line 2: invalid JSON: Extra data$"):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^line 2: invalid JSON: Extra data$"):
             parse_recording(io.StringIO(text))
 
     def test_bom_prefixed_line_names_the_bom(self):
         text = '\ufeff{"t": 0.0, %s}\n' % self.HEAD
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InvalidArgumentError) as exc:
             parse_recording(io.StringIO(text))
         assert str(exc.value) == ("line 1: invalid JSON: Unexpected UTF-8 BOM "
                                   "(decode using utf-8-sig)")
@@ -121,12 +123,12 @@ class TestParse:
         '{"t": 1%s, %s}' % ("0" * 5000, HEAD),
     ], ids=["nested-too-deep", "integer-too-long"])
     def test_undecodable_json_is_parse_error(self, line):
-        with pytest.raises(ParseError, match=r"^line 1: invalid JSON: "):
+        with pytest.raises(InvalidArgumentError, match=r"^line 1: invalid JSON: "):
             parse_recording(io.StringIO(line + "\n"))
 
     def test_non_monotone_message(self):
         text = '{"t": 0.5, %s}\n{"t": 0.25, %s}\n' % (self.HEAD, self.HEAD)
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(InvalidArgumentError) as exc:
             parse_recording(io.StringIO(text))
         assert str(exc.value) == ("line 2: timestamp 0.25 not strictly "
                                   "increasing (previous 0.5)")
@@ -134,7 +136,7 @@ class TestParse:
     def test_non_unit_quaternion_message(self):
         text = '{"t": 0.0, %s}\n{"t": 0.5, "head": {"p": [0, 0, 0], "q": [1, 1, 0, 0]}}\n' \
             % self.HEAD
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InvalidArgumentError) as exc:
             parse_recording(io.StringIO(text))
         assert str(exc.value) == "line 2: quaternion norm 1.4142135623730951 != 1"
 
@@ -142,7 +144,7 @@ class TestParse:
         line = '{"t": 0.0, "head": {"p": [0, 0, 0], "q": [1e200, 0, 0, 0]}}\n'
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParseError) as exc:
+            with pytest.raises(InvalidArgumentError) as exc:
                 parse_recording(io.StringIO(line))
         assert str(exc.value) == "line 1: quaternion norm inf != 1"
 
@@ -151,27 +153,27 @@ class TestParse:
                 '{"t": 0.5, "head": {"p": [0, 0, 0], "q": [0.5, 0, 0, 0]}}\n'
                 '{"t": 1.0, %s}\n'
                 '{not json\n') % (self.HEAD, self.HEAD)
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InvalidArgumentError) as exc:
             parse_recording(io.StringIO(text))
         assert str(exc.value) == "line 2: quaternion norm 0.5 != 1"
 
     def test_bad_quaternion_wins_over_later_non_monotone_time(self):
         text = ('{"t": 0.5, "head": {"p": [0, 0, 0], "q": [0.5, 0, 0, 0]}}\n'
                 '{"t": 0.5, %s}\n') % self.HEAD
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(InvalidArgumentError, match="line 1"):
             parse_recording(io.StringIO(text))
 
     def test_bad_quaternion_wins_over_repeated_time_on_its_line(self):
         text = ('{"t": 0.5, %s}\n'
                 '{"t": 0.5, "head": {"p": [0, 0, 0], "q": [0.5, 0, 0, 0]}}\n'
                 ) % self.HEAD
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(InvalidArgumentError, match="line 2"):
             parse_recording(io.StringIO(text))
 
     def test_repeated_time_wins_over_later_string_field(self):
         text = ('{"t": 0.5, %s}\n{"t": 0.5, %s}\n{"t": "x", %s}\n'
                 % (self.HEAD, self.HEAD, self.HEAD))
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(InvalidArgumentError) as exc:
             parse_recording(io.StringIO(text))
         assert str(exc.value) == ("line 2: timestamp 0.5 not strictly "
                                   "increasing (previous 0.5)")

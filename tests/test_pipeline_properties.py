@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from egonav.cli import main
 from egonav.config import PipelineConfig, effective_parameters, parse_config
-from egonav.errors import ConfigError
+from egonav.errors import InvalidArgumentError
 from egonav.geometry import Pose2, VelocityCommand, to_frame_rows, wrap
 from egonav.ingest import WaypointTrack
 from egonav.retarget import (RetargetConfig, RetargetSolution, WalkRecord,
@@ -212,7 +212,7 @@ def test_compose_inverts_to_frame_up_to_rounding(ref, t):
 def test_config_value_is_accepted_or_a_config_error(key, token):
     try:
         cfg = parse_config(f"{key} = {token}\n")
-    except ConfigError:
+    except InvalidArgumentError:
         return
     values = effective_parameters(cfg).values()
     assert all(math.isfinite(v) for v in values if isinstance(v, float))

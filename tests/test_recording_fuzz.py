@@ -47,7 +47,8 @@ def _paths(obj, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
-VALUES = {"nan": math.nan, "true": True, "huge": 10**400, "big": 2**64}
+VALUES = {"nan": math.nan, "true": True, "huge": 10**400, "big": 2**64,
+          "max": 1.7976931348623157e308}  # the largest finite float
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Every egonav module references each name it imports and each of its
 private module-level functions, classes and constants, every public
-module-level function is called by the pipeline or by the benchmark, and
-every function reads each of its parameters.
+module-level function is called by the pipeline or by the benchmark,
+every function reads each of its parameters, and no module but
+``errors.py`` defines an exception class.
 
 ``__init__.py`` is left out: its imports are the package's exports.
 """
@@ -164,3 +165,30 @@ UNREAD_ALLOWED = {
 def test_module_reads_every_parameter(module):
     path = SRC / module
     assert unread_parameters(path.read_text()) == UNREAD_ALLOWED.get(module, [])
+
+
+def exception_classes(source: str) -> list[str]:
+    """The classes ``source`` defines that derive from an exception: a base
+    named ``...Error``, ``...Exception`` or ``...Warning``, or an earlier
+    exception class of ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                name.endswith(("Error", "Exception", "Warning")) or name in found
+                for name in (getattr(b, "id", None) or getattr(b, "attr", "")
+                             for b in node.bases)):
+            found.append(node.name)
+    return found
+
+
+def test_exception_classes_finds_only_exception_subclasses():
+    source = ("import json\nclass A(ValueError):\n    pass\nclass B(A):\n    pass\n"
+              "class C(json.JSONDecodeError):\n    pass\nclass D:\n    pass\n"
+              "class E(D, Exception):\n    pass\nclass F(D):\n    pass\n")
+    assert exception_classes(source) == ["A", "B", "C", "E"]
+
+
+# one exception class per exit code, all in errors.py (see test_cli)
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "errors.py"])
+def test_module_defines_no_exception_class(module):
+    assert exception_classes((SRC / module).read_text()) == []
