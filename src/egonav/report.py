@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from .config import PipelineConfig, effective_parameters
 from .geometry import Pose2
 from .retarget import RetargetSolution
-from .segmentation import PhaseTrack, runs
+from .segmentation import MANIPULATION, PhaseTrack, runs
 from .simulator import SimResult
 
 _W, _H = 640, 480
@@ -28,13 +28,12 @@ def _scale(points):
     ys = [p[1] for p in points] or [0.0]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    span = max(x1 - x0, y1 - y0, 1e-9)
-    sx = (_W - 2 * _MARGIN) / span
-    sy = (_H - 2 * _MARGIN) / span
+    # one scale for both axes, so a walk keeps its shape inside the margins
+    s = min(_W - 2 * _MARGIN, _H - 2 * _MARGIN) / max(x1 - x0, y1 - y0, 1e-9)
 
     def to_px(p):
-        return (_MARGIN + (p[0] - x0) * sx,
-                _H - _MARGIN - (p[1] - y0) * sy)
+        return (_MARGIN + (p[0] - x0) * s,
+                _H - _MARGIN - (p[1] - y0) * s)
     return to_px
 
 
@@ -76,7 +75,7 @@ def phase_timeline_svg(track: PhaseTrack,
         y = 60 + r * (bar_h + 40)
         px_per = (_W - 2 * _MARGIN) / max(len(tr.labels), 1)
         for i, j in runs(tr.labels).tolist():
-            color = "#c23b22" if tr.labels[i] == 0 else "#9fc5e8"
+            color = "#c23b22" if tr.labels[i] == MANIPULATION else "#9fc5e8"
             x = _MARGIN + i * px_per
             w = (j - i) * px_per
             body.append(f'<rect x="{_fmt(x)}" y="{y}" width="{_fmt(w)}" '
@@ -122,7 +121,7 @@ def metrics_summary(cfg: PipelineConfig, sim: SimResult,
     if track is not None:
         out["frames"] = len(track)
         out["manipulation_fraction"] = float(
-            (track.labels == 0).sum() / max(len(track), 1))
+            (track.labels == MANIPULATION).sum() / max(len(track), 1))
         out["phase_transitions"] = track.transitions()
     if accuracy is not None:
         out["segmentation_accuracy"] = accuracy

@@ -63,10 +63,6 @@ class GmmModel:
     covariances: np.ndarray    # (K, 2, 2)
     log_likelihoods: tuple[float, ...] = field(default_factory=tuple)
 
-    @property
-    def k(self) -> int:
-        return len(self.weights)
-
 
 @dataclass(frozen=True)
 class PhaseTrack:

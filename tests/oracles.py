@@ -15,6 +15,10 @@ bit. :func:`gradient` is 2 J^T r from the production
 finite differences of ``retarget.cost``; :func:`responsibilities` is the
 E-step posterior from the production ``segmentation`` log-joint and
 posterior.
+
+``retarget.cost`` itself stays in ``egonav.retarget``, not here, while the
+benchmark's own tests (``perfbench/tests``) import it from there; it can
+move here with the next change to the benchmark.
 """
 
 import math

@@ -900,3 +900,12 @@ class TestArtifactReaders:
         spec.write_text(json.dumps({"segments": [segment]}))
         assert main(["synth", str(spec), "--out", str(tmp_path / "art")]) == 2
         assert str(spec) in capsys.readouterr().err
+
+
+def test_trajectory_scale_keeps_a_circle_round_inside_the_margins():
+    circle = [(math.cos(a), math.sin(a)) for a in np.linspace(0.0, 2 * math.pi, 721)]
+    to_px = report._scale(circle)
+    xs, ys = zip(*(to_px(p) for p in circle))
+    assert max(xs) - min(xs) == pytest.approx(max(ys) - min(ys))
+    assert report._MARGIN <= min(xs) and max(xs) <= report._W - report._MARGIN
+    assert report._MARGIN <= min(ys) and max(ys) <= report._H - report._MARGIN

@@ -1,7 +1,9 @@
 """numpy is egonav's only runtime dependency; scipy and hypothesis are for tests.
 
 ``egonav.cli`` forks its own workers: the process-pool modules would add
-their import time to every CLI start.
+their import time to every CLI start. Nor does it load ``egonav.chunks``,
+which no CLI command uses: the ``egonav`` package imports no module of
+its own.
 """
 
 import json
@@ -30,4 +32,5 @@ def test_pipeline_modules_import_neither_scipy_nor_hypothesis():
 
 def test_cli_imports_no_process_pool_module():
     assert loaded_after_import(["egonav.cli"], ["multiprocessing",
-                                                "concurrent.futures.process"]) == []
+                                                "concurrent.futures.process",
+                                                "egonav.chunks"]) == []

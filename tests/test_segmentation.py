@@ -39,7 +39,7 @@ def reference_gmm_fit(points, cfg, seed=0):
         return np.stack([
             np.log(model.weights[j]) + segmentation._log_gauss(
                 points, model.means[j], model.covariances[j])
-            for j in range(model.k)], axis=1)
+            for j in range(len(model.weights))], axis=1)
 
     def logsumexp(log_p):
         m = log_p.max(axis=1)
@@ -454,7 +454,8 @@ def test_responsibilities_and_pdf_equal_point_major_forms():
     points = rng.normal(0.0, 2.0, (500, 2))
     model = gmm_fit(points, PhaseConfig(k_components=9), seed=2)
     log_p = np.stack([np.log(model.weights[j]) + segmentation._log_gauss(
-        points, model.means[j], model.covariances[j]) for j in range(model.k)], axis=1)
+        points, model.means[j], model.covariances[j])
+        for j in range(len(model.weights))], axis=1)
     m = log_p.max(axis=1)
     log_norm = m + np.log(np.exp(log_p - m[:, None]).sum(axis=1))
     assert responsibilities(model, points).tobytes() == \
