@@ -1,8 +1,9 @@
 """Command-line front end for the retargeting pipeline.
 
 Subcommands: synth, segment, retarget, simulate, report. Exit codes form
-a stable contract: 0 success, 2 input/validation error, 3 no
-manipulation zones found, 4 solver numerical failure.
+a stable contract: 0 success, and otherwise the ``exit_code`` of the
+``egonav.errors`` class raised (2 input/validation error, 3 no
+manipulation zones found, 4 solver numerical failure).
 
 When several recordings are given to one segment or retarget call, they
 are split into at most one share per usable core, and each share runs in
@@ -35,11 +36,6 @@ from . import ingest, report, retarget, segmentation, simulator
 from .config import load_config
 from .errors import (InvalidArgumentError, NoManipulationZonesError,
                      NumericalFailureError)
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NO_ZONES = 3
-EXIT_NUMERICAL = 4
 
 
 def _load_episode(path, cfg) -> ingest.Episode:
@@ -78,14 +74,22 @@ def _cores() -> int:
 
 
 def _run_share(run, jobs) -> list:
-    """``run(recording, out)`` for each pair; each one's exception, or None."""
+    """``run(recording, out)`` for each pair: None, or the exception it raised.
+
+    An error with an ``exit_code``, or an unreadable or undecodable file (as
+    an :class:`InvalidArgumentError`), comes back with ``<recording>: `` before
+    its message; a fault of the program comes back as it was raised.
+    """
     errors = []
     for rec, out in jobs:
         try:
             run(rec, out)
             errors.append(None)
+        except (OSError, UnicodeDecodeError) as exc:
+            errors.append(InvalidArgumentError(f"{rec}: {exc}"))
         except Exception as exc:
-            errors.append(exc)
+            errors.append(type(exc)(f"{rec}: {exc}") if hasattr(exc, "exit_code")
+                          else exc)
     return errors
 
 
@@ -158,7 +162,8 @@ def cmd_synth(args, cfg) -> int:
             if args.seed is not None:
                 spec = replace(spec, seed=args.seed)
             ep, truth = simulator.synthesize(spec)
-        except (InvalidArgumentError, json.JSONDecodeError, RecursionError) as exc:
+        except (InvalidArgumentError, json.JSONDecodeError, RecursionError,
+                UnicodeDecodeError) as exc:
             raise InvalidArgumentError(f"{args.spec}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,7 +171,7 @@ def cmd_synth(args, cfg) -> int:
         ingest.serialize_recording(ep, fh)
     segmentation.write_phase_file(out / "truth.json", truth, None,
                                   cfg.phase, spec.seed)
-    return EXIT_OK
+    return 0
 
 
 def cmd_segment(args, cfg) -> int:
@@ -178,7 +183,7 @@ def cmd_segment(args, cfg) -> int:
         segmentation.write_phase_file(out, track, model, cfg.phase, cfg.seed)
 
     _for_each(run, args.recording, outs)
-    return EXIT_OK
+    return 0
 
 
 def cmd_retarget(args, cfg) -> int:
@@ -192,7 +197,7 @@ def cmd_retarget(args, cfg) -> int:
         retarget.write_command_file(out, solutions, cfg.retarget, walk)
 
     _for_each(run, args.recording, outs)
-    return EXIT_OK
+    return 0
 
 
 def cmd_simulate(args, cfg) -> int:
@@ -214,7 +219,7 @@ def cmd_simulate(args, cfg) -> int:
         print(f"egonav: warning: {saturated} of {n_cmds} commands sit on a v or "
               f"omega bound, so they cannot track this walk (pos_rmse "
               f"{result.pos_rmse:.3g} m)", file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
 def cmd_report(args, cfg) -> int:
@@ -228,10 +233,10 @@ def cmd_report(args, cfg) -> int:
 
     phases = truth = accuracy = None
     if (art / "phases.json").exists():
-        phases, _, phase_cfg, seed = segmentation.read_phase_file(art / "phases.json")
+        phases, phase_cfg, seed = segmentation.read_phase_file(art / "phases.json")
         cfg = replace(cfg, phase=phase_cfg, seed=seed)
     if (art / "truth.json").exists():
-        truth, _, _, _ = segmentation.read_phase_file(art / "truth.json")
+        truth, _, _ = segmentation.read_phase_file(art / "truth.json")
     if phases is not None and truth is not None:
         if len(phases) == len(truth):
             accuracy = simulator.score_segmentation(phases, truth)
@@ -252,7 +257,7 @@ def cmd_report(args, cfg) -> int:
     fmt = args.format
     name = "report.json" if fmt == "json" else "report.txt"
     (out / name).write_text(report.format_summary(summary, fmt))
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,16 +315,11 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seed=args.seed)
         # looked up per call, so a handler replaced on the module is the one run
         return globals()[f"cmd_{args.command}"](args, cfg)
-    except NoManipulationZonesError as exc:
+    except (InvalidArgumentError, NoManipulationZonesError, NumericalFailureError,
+            OSError) as exc:
         print(f"egonav: {exc}", file=sys.stderr)
-        return EXIT_NO_ZONES
-    except NumericalFailureError as exc:
-        print(f"egonav: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (InvalidArgumentError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
-        print(f"egonav: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        # a file that cannot be read exits as an invalid argument does
+        return getattr(exc, "exit_code", InvalidArgumentError.exit_code)
 
 
 if __name__ == "__main__":

@@ -132,8 +132,9 @@ def parse_config(text: str) -> PipelineConfig:
 def load_config(path=None) -> PipelineConfig:
     """Load a config file; None or an empty file yields pure defaults.
 
-    A path that does not exist, or text :func:`parse_config` rejects, raises
-    :class:`InvalidArgumentError` (exit 2).
+    A path that does not exist, bytes that are not UTF-8 or text
+    :func:`parse_config` rejects raise :class:`InvalidArgumentError` (exit 2)
+    naming the file.
     """
     if path is None:
         return PipelineConfig()
@@ -142,6 +143,8 @@ def load_config(path=None) -> PipelineConfig:
             return parse_config(fh.read())
     except FileNotFoundError:
         raise InvalidArgumentError(f"config file not found: {path}") from None
+    except (InvalidArgumentError, UnicodeDecodeError) as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from None
 
 
 def effective_parameters(cfg: PipelineConfig) -> dict[str, object]:

@@ -7,10 +7,11 @@ Euler. The optimizer and the simulator share one vectorized form of it
 wrapping them after every step; the tests keep a scalar step-by-step
 rollout as its reference.
 
-:class:`Pose2` is a :class:`typing.NamedTuple`: immutable, picklable and
-cheap to build, and, as a tuple of floats, untracked by the garbage
-collector. Being a tuple, a ``Pose2`` compares equal to the plain 3-tuple
-``(x, y, theta)`` with the same values.
+:class:`Pose2` and :class:`VelocityCommand` are each a
+:class:`typing.NamedTuple`: immutable, picklable and cheap to build, and,
+as a tuple of floats, untracked by the garbage collector. Being tuples,
+they compare equal to the plain ``(x, y, theta)`` and ``(v, omega)`` with
+the same values, and enter NumPy arrays as they are.
 
 :func:`ground_poses` projects a whole array of head poses onto the
 ground at once; :func:`to_frame_rows` moves many poses into one frame.
@@ -19,7 +20,6 @@ ground at once; :func:`to_frame_rows` moves many poses into one frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -66,8 +66,7 @@ class Pose2(NamedTuple):
         return Pose2(self.x, self.y, wrap(self.theta))
 
 
-@dataclass(frozen=True)
-class VelocityCommand:
+class VelocityCommand(NamedTuple):
     """One differential-drive command: forward speed v, yaw rate omega."""
 
     v: float

@@ -118,7 +118,7 @@ class WindowRollout(NamedTuple):
         return x + y + yaw + dv + dw, x + y, yaw, dv + dw
 
     def poses(self) -> list[Pose2]:
-        """The states as poses, headings wrapped; the last starts the next window."""
+        """The states as poses, headings wrapped."""
         return [Pose2(x, y, wrap(th)) for x, y, th in zip(*self.states.tolist())]
 
 
@@ -167,7 +167,7 @@ class _Window:
         # waypoints, then the command before each command
         self.before = np.empty((5, K))
         self.before[:3] = list(zip(*prob.desired))
-        self.before[3:, 0] = prob.prev_cmd.v, prob.prev_cmd.omega
+        self.before[3:, 0] = prob.prev_cmd
 
     def rollout(self, z) -> tuple[WindowRollout, tuple]:
         """The rollout of ``z`` (K x 2 of v, omega) without J, and the cos, sin and
@@ -218,22 +218,21 @@ class _Window:
         np.multiply(d, self.low, out=pos[..., 1])
         return J.reshape(5 * K, 2 * K)
 
-    def curvature(self, z, ro: WindowRollout) -> np.ndarray:
+    def curvature(self, z, ro: WindowRollout, parts: tuple) -> np.ndarray:
         """S = sum_i r_i Hess(r_i) at ``z``: the cost's Hessian is 2 (J^T J + S).
 
-        ``ro`` is the rollout of ``z``. Only the position residuals are
-        nonlinear. With Rx_j, Ry_j the sums of the x and y residuals k >= j
-        and theta_j the heading before command j, S[v_j, omega_m] for m < j
-        is sqrt(lambda_pos) dt^2 (cos theta_j Ry_j - sin theta_j Rx_j), and
-        S[omega_m, omega_n] is -sqrt(lambda_pos) dt^3 times the sum over
-        j > max(m, n) of v_j (cos theta_j Rx_j + sin theta_j Ry_j).
+        ``ro`` and ``parts`` are what :meth:`rollout` returned for ``z``, so
+        theta_j's cos and sin are the ones J is built from. Only the position
+        residuals are nonlinear. With Rx_j, Ry_j the sums of the x and y
+        residuals k >= j and theta_j the heading before command j,
+        S[v_j, omega_m] for m < j is sqrt(lambda_pos) dt^2 (cos theta_j Ry_j
+        - sin theta_j Rx_j), and S[omega_m, omega_n] is -sqrt(lambda_pos)
+        dt^3 times the sum over j > max(m, n) of v_j (cos theta_j Rx_j +
+        sin theta_j Ry_j).
         """
         K, dt = self.K, self.dt
         v = np.asarray(z, dtype=float).reshape(-1, 2)[:, 0]
-        th = np.empty(K)
-        th[0] = self.th0
-        th[1:] = ro.states[2, :-1]
-        cos, sin = np.cos(th), np.sin(th)
+        cos, sin = parts[0]
         rx, ry = np.add.accumulate(ro.r[:2 * K].reshape(2, K)[:, ::-1], axis=1)[:, ::-1]
         b = v * (cos * rx + sin * ry)
         after = np.zeros(K)  # sum of b_j over j > m
@@ -253,7 +252,7 @@ def cost(z, prob: RetargetProblem) -> tuple[float, float, float, float]:
 
 def _fd_inversion_init(prob: RetargetProblem) -> np.ndarray:
     """Initialize by finite-difference inversion of the desired waypoints."""
-    p = np.array([(q.x, q.y, q.theta) for q in (prob.start, *prob.desired)])
+    p = np.array((prob.start, *prob.desired))
     dx, dy, dth = np.diff(p, axis=0).T
     v = dx * np.cos(p[:-1, 2]) + dy * np.sin(p[:-1, 2])
     with np.errstate(over="ignore"):  # a tiny dt; solve clips the start to the bounds
@@ -299,7 +298,7 @@ def _gauss_newton(model: _Window, z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         H *= coupled  # decouple the active variables ...
         H.flat[::len(z) + 1] = diag  # ... which keep only their diagonal
         if stalled:
-            newton = H + 2.0 * model.curvature(z, ro) * coupled
+            newton = H + 2.0 * model.curvature(z, ro, parts) * coupled
             try:
                 np.linalg.cholesky(newton)
             except np.linalg.LinAlgError:
@@ -351,7 +350,7 @@ def solve(prob: RetargetProblem) -> RetargetSolution:
         runs = [_gauss_newton(model, np.clip(z0.ravel(), lo, hi), lo, hi, cfg)
                 for z0 in (np.zeros((K, 2)), _fd_inversion_init(prob))]
     z, _, iters, conv, ro = min(runs, key=lambda run: run[1])  # ties: earliest start
-    cmds = tuple(VelocityCommand(v, w) for v, w in z.reshape(-1, 2).tolist())
+    cmds = tuple(map(VelocityCommand._make, z.reshape(-1, 2).tolist()))
     return RetargetSolution(cmds, *ro.costs(), iters, conv)
 
 
@@ -376,9 +375,10 @@ def chain_windows(start: Pose2, desired: Sequence[Pose2], sizes: Iterable[int],
             sol = commands(i, prob)
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"window {i}: {exc}") from exc
-        ro = _Window(prob).rollout([[c.v, c.omega] for c in sol.cmds])[0]
+        ro = _Window(prob).rollout(sol.cmds)[0]
         yield sol, ro
-        start, prev_cmd = ro.poses()[-1], sol.cmds[-1]
+        start = Pose2._make(ro.states[:, -1].tolist()).normalized()
+        prev_cmd = sol.cmds[-1]
         w0 += size
 
 
@@ -470,10 +470,10 @@ def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecor
     than 0 or 1, a command outside the header's bounds, a window or
     waypoint number repeated or skipped, a command not under its window's
     '#! window=' record, a window without commands, a missing or second
-    recording digest or waypoints that are not one more than the commands
-    raises :class:`InvalidArgumentError`. A file without the objective row
-    or the walk record, written before either existed, asks for retarget
-    to be re-run.
+    recording digest, waypoints that are not one more than the commands or
+    bytes that are not UTF-8 raise :class:`InvalidArgumentError`. A file
+    without the objective row or the walk record, written before either
+    existed, asks for retarget to be re-run.
     """
     metas: list[tuple] = []
     cmds: list[list[VelocityCommand]] = []
@@ -482,7 +482,11 @@ def read_replay(path) -> tuple[list[RetargetSolution], RetargetConfig, WalkRecor
     record_line = 0  # the last digest or waypoint row
     rerun = "; re-run retarget to write it"
     with open(path) as fh:
-        for n, line in enumerate(fh, start=1):
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"command file {path}: {exc}") from None
+        for n, line in enumerate(lines, start=1):
             line, where = line.strip(), f"command file {path} line {n}"
             try:
                 if line.startswith("#!"):

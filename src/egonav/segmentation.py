@@ -311,8 +311,8 @@ def write_phase_file(path, track: PhaseTrack, model: Optional[GmmModel],
         fh.write(json.dumps(obj, indent=1) + "\n")
 
 
-def _gmm_field(g: dict, name: str, shape: Optional[tuple]) -> np.ndarray:
-    """``g[name]`` as a float array of finite numbers of ``shape``.
+def _gmm_field(g: dict, name: str, shape: Optional[tuple]) -> int:
+    """Check that ``g[name]`` is an array of finite numbers of ``shape``; its length.
 
     A ``shape`` of None asks for (K,) with K >= 1.
     """
@@ -325,7 +325,7 @@ def _gmm_field(g: dict, name: str, shape: Optional[tuple]) -> np.ndarray:
     if arr is None or arr.shape != shape or not all(map(finite_number, arr.flat)):
         want = "(K,), K >= 1" if shape is None else str(shape)
         raise ValueError(f"'gmm.{name}' must be a {want} array of finite numbers")
-    return arr.astype(float)
+    return len(arr)
 
 
 def _phase_config(raw) -> PhaseConfig:
@@ -348,12 +348,17 @@ def _phase_config(raw) -> PhaseConfig:
     return PhaseConfig(**raw)
 
 
-def read_phase_file(path) -> tuple[PhaseTrack, Optional[GmmModel], PhaseConfig, int]:
-    """Read a phase file; a missing or malformed field raises InvalidArgumentError."""
+def read_phase_file(path) -> tuple[PhaseTrack, PhaseConfig, int]:
+    """The labels, config echo and seed of a phase file.
+
+    Its ``gmm`` is checked but not read. A missing or malformed field, or
+    bytes that are not UTF-8, raise :class:`InvalidArgumentError`.
+    """
     with open(path) as fh:
         try:
             obj = json.load(fh, object_pairs_hook=unique_keys)
-        except (json.JSONDecodeError, RecursionError, InvalidArgumentError) as exc:
+        # a decode error, a repeated key, bytes that are not UTF-8, nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"{path}: a phase file must hold a JSON object")
@@ -364,19 +369,17 @@ def read_phase_file(path) -> tuple[PhaseTrack, Optional[GmmModel], PhaseConfig, 
             raise ValueError("'labels' must be a non-empty list of 0 (manipulation) "
                              "and 1 (navigation)")
         track = PhaseTrack(np.asarray(labels, dtype=np.int64))
-        model = None
         if obj.get("gmm") is not None:
             g = obj["gmm"]
             if not isinstance(g, dict):
                 raise ValueError("'gmm' must be a JSON object or null")
-            weights = _gmm_field(g, "weights", None)
-            k = len(weights)
-            model = GmmModel(weights, _gmm_field(g, "means", (k, 2)),
-                             _gmm_field(g, "covariances", (k, 2, 2)))
+            k = _gmm_field(g, "weights", None)
+            _gmm_field(g, "means", (k, 2))
+            _gmm_field(g, "covariances", (k, 2, 2))
         seed = obj["seed"]
         if type(seed) is not int or seed < 0:  # not a bool either
             raise ValueError(f"'seed' must be an integer >= 0, got {seed!r}")
-        return track, model, _phase_config(obj["config"]), seed
+        return track, _phase_config(obj["config"]), seed
     except KeyError as exc:
         raise InvalidArgumentError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -251,7 +251,7 @@ def write_sim_file(path, result: SimResult) -> None:
         "cost_yaw": result.cost_breakdown[1],
         "cost_smooth": result.cost_breakdown[2],
         "cost_discrepancy": result.cost_discrepancy,
-        "poses": [[p.x, p.y, p.theta] for p in result.poses],
+        "poses": result.poses,
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, indent=1) + "\n")

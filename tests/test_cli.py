@@ -190,14 +190,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "seed must be >= 0" in err and "Traceback" not in err
 
-    def test_no_hands_is_exit_3(self, tmp_path):
+    def test_no_hands_is_exit_3(self, tmp_path, capsys):
         spec = {"segments": [{"kind": "straight", "duration": 5.0}],
                 "fps": 30.0}
         (tmp_path / "s.json").write_text(json.dumps(spec))
         assert main(["synth", str(tmp_path / "s.json"),
                      "--out", str(tmp_path / "art")]) == 0
-        assert main(["segment", str(tmp_path / "art" / "recording.jsonl"),
-                     "--out", str(tmp_path / "p.json")]) == 3
+        rec = tmp_path / "art" / "recording.jsonl"
+        assert main(["segment", str(rec), "--out", str(tmp_path / "p.json")]) == 3
+        err = capsys.readouterr().err  # the message names the recording
+        assert err.startswith(f"egonav: {rec}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("retarget.bogus = 1\n", "line 1: unknown key 'retarget.bogus'"),
+        ("retarget.window = 0\n", "retarget.window must be >= 1"),
+    ], ids=["unknown-key", "out-of-range"])
+    def test_config_error_names_the_config_file(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main(["report", str(tmp_path), "--out", str(tmp_path / "rep"),
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"egonav: {cfg}: {message}\n"
+
+    @pytest.mark.parametrize("argv, named", [
+        (["synth", "f.bin", "--out", "art"], "f.bin"),
+        (["simulate", "f.bin", "rec.jsonl", "--out", "sim.json"], "command file f.bin"),
+        (["report", ".", "--out", "rep", "--config", "f.bin"], "f.bin"),
+    ], ids=["spec", "command-file", "config"])
+    def test_undecodable_file_is_input_error_naming_it(self, tmp_path, capsys,
+                                                       monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)
+        Path("f.bin").write_bytes(b"\xff\xfe\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"egonav: {named}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("read", [segmentation.read_phase_file, read_replay],
+                             ids=["phase-file", "command-file"])
+    def test_undecodable_artifact_raises_input_error(self, tmp_path, read):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(InvalidArgumentError, match="codec can't decode") as info:
+            read(path)
+        assert str(path) in str(info.value)
 
     def test_zero_duration_spec_is_input_error(self, tmp_path):
         spec = {"segments": [{"kind": "straight", "duration": 0.0}]}
@@ -261,7 +296,7 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert main(["segment", str(rec), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("egonav: the mixture fit") and err.count("\n") == 1
+        assert err.startswith(f"egonav: {rec}: the mixture fit") and err.count("\n") == 1
         assert not out.exists()
 
     def segment_quietly(self, rec, capsys):
@@ -326,7 +361,7 @@ class TestExitCodes:
             assert main(["retarget", str(rec), "--out", str(tmp_path / "c.txt"),
                          "--config", str(tmp_path / "cfg.txt")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("egonav: window 0: ") and err.count("\n") == 1
+        assert err.startswith(f"egonav: {rec}: window 0: ") and err.count("\n") == 1
 
 
 class TestPipeline:

@@ -90,6 +90,23 @@ def test_first_faulty_recording_in_argument_order_is_reported(
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("command", ["segment", "retarget"])
+def test_each_recording_error_names_its_recording(recordings, tmp_path, capsys,
+                                                  command):
+    bad = tmp_path / "bad.jsonl"
+    first = recordings[0].read_text().splitlines(keepends=True)[:3]
+    bad.write_text("".join(first) + '{"t": 9.0, "head": [0, 0, 1.6]}\n')
+    message = f"egonav: {bad}: line 4: field 'head' must be a JSON object\n"
+    for i, recs in enumerate([[bad], [recordings[0], bad]]):
+        assert main([command, *map(str, recs), "--out", str(tmp_path / f"out{i}")]) == 2
+        assert capsys.readouterr().err == message
+    undecodable = tmp_path / "undecodable.jsonl"
+    undecodable.write_bytes(b"\xff\xfe\n")
+    assert main([command, str(undecodable), "--out", str(tmp_path / "out2")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"egonav: {undecodable}: ") and err.count("\n") == 1
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("command", ["segment", "retarget"])
 def test_worker_that_ends_without_a_result_is_input_error(

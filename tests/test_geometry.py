@@ -81,6 +81,20 @@ class TestPose2:
         assert type(q) is Pose2 and q == p
 
 
+class TestVelocityCommand:
+    def test_equals_plain_tuple(self):
+        assert VelocityCommand(0.5, -1.25) == (0.5, -1.25)
+        assert np.array([VelocityCommand(0.5, -1.25)]).tolist() == [[0.5, -1.25]]
+
+    def test_pickle_round_trip(self):
+        c = VelocityCommand(0.5, -1.25)
+        d = pickle.loads(pickle.dumps(c))
+        assert type(d) is VelocityCommand and d == c == (0.5, -1.25)
+
+    def test_as_dict_names_v_and_omega(self):
+        assert VelocityCommand(0.5, -1.25)._asdict() == {"v": 0.5, "omega": -1.25}
+
+
 class TestStep:
     def test_straight(self):
         p = step(Pose2(0, 0, 0), VelocityCommand(1, 0), 0.16)

@@ -159,7 +159,7 @@ class TestGradient:
             model = _Window(prob)
             ro, parts = model.rollout(z)
             J = model.jacobian(parts)
-            hess = 2.0 * (J.T @ J + model.curvature(z, ro))
+            hess = 2.0 * (J.T @ J + model.curvature(z, ro, parts))
             h = 1e-5
             fd = np.column_stack([
                 (gradient(z + h * e, prob) - gradient(z - h * e, prob)).ravel()

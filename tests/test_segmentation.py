@@ -306,9 +306,9 @@ def test_phase_file_round_trip(tmp_path):
     track, model = segment(ep, cfg, seed=1)
     path = tmp_path / "phases.json"
     write_phase_file(path, track, model, cfg, seed=1)
-    track2, model2, cfg2, seed = read_phase_file(path)
+    track2, cfg2, seed = read_phase_file(path)
     assert np.array_equal(track.labels, track2.labels)
-    assert np.allclose(model.means, model2.means)
+    assert np.allclose(model.means, json.loads(path.read_text())["gmm"]["means"])
     assert cfg2 == cfg
     assert seed == 1
 
