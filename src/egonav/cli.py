@@ -162,8 +162,8 @@ def cmd_synth(args, cfg) -> int:
             if args.seed is not None:
                 spec = replace(spec, seed=args.seed)
             ep, truth = simulator.synthesize(spec)
-        except (InvalidArgumentError, json.JSONDecodeError, RecursionError,
-                UnicodeDecodeError) as exc:
+        # a bad spec, undecodable bytes, an int of too many digits, nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise InvalidArgumentError(f"{args.spec}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,7 @@ defaults for every stage. Unknown keys, and a key given twice, are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import InvalidArgumentError
 from .geometry import FORWARD_AXES
@@ -68,12 +68,12 @@ class PipelineConfig:
             raise InvalidArgumentError("seed must be >= 0")
 
 
-_SECTIONS = {
-    "ingest": IngestConfig,
-    "phase": PhaseConfig,
-    "retarget": RetargetConfig,
-    "chunk": ChunkConfig,
-}
+# every section's class, in field order, and every "section.name" key of them
+_SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)
+             if f.default_factory is not MISSING}
+_KEYS = {f"{section}.{f.name}": (section, f.name,
+                                 {"float": float, "int": int, "str": str}[f.type])
+         for section, cls in _SECTIONS.items() for f in fields(cls)}
 
 
 def _coerce(raw: str, typ, key: str):
@@ -107,16 +107,9 @@ def parse_config(text: str) -> PipelineConfig:
         if key == "seed":
             seed = _coerce(raw, int, key)
             continue
-        if "." not in key:
+        if key not in _KEYS:
             raise InvalidArgumentError(f"line {line_no}: unknown key {key!r}")
-        section, name = key.split(".", 1)
-        cls = _SECTIONS.get(section)
-        if cls is None:
-            raise InvalidArgumentError(f"line {line_no}: unknown section {section!r}")
-        typ = {f.name: f.type for f in fields(cls)}.get(name)
-        if typ is None:
-            raise InvalidArgumentError(f"line {line_no}: unknown key {key!r}")
-        typ = {"float": float, "int": int, "str": str}.get(typ, typ)
+        section, name, typ = _KEYS[key]
         values[section][name] = _coerce(raw, typ, key)
 
     sections = {}
@@ -132,24 +125,22 @@ def parse_config(text: str) -> PipelineConfig:
 def load_config(path=None) -> PipelineConfig:
     """Load a config file; None or an empty file yields pure defaults.
 
-    A path that does not exist, bytes that are not UTF-8 or text
-    :func:`parse_config` rejects raise :class:`InvalidArgumentError` (exit 2)
-    naming the file.
+    Bytes that are not UTF-8, or text :func:`parse_config` rejects, raise
+    :class:`InvalidArgumentError` naming the file; a file that cannot be
+    opened raises ``open``'s ``OSError``, which names it too (both exit 2).
     """
     if path is None:
         return PipelineConfig()
     try:
         with open(path) as fh:
             return parse_config(fh.read())
-    except FileNotFoundError:
-        raise InvalidArgumentError(f"config file not found: {path}") from None
-    except (InvalidArgumentError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # InvalidArgumentError or UnicodeDecodeError
         raise InvalidArgumentError(f"{path}: {exc}") from None
 
 
 def effective_parameters(cfg: PipelineConfig) -> dict[str, object]:
     """Flat dotted-key view of every effective parameter, for report echo."""
-    out = {f"{section}.{f.name}": getattr(getattr(cfg, section), f.name)
-           for section, cls in _SECTIONS.items() for f in fields(cls)}
+    out = {key: getattr(getattr(cfg, section), name)
+           for key, (section, name, _) in _KEYS.items()}
     out["seed"] = cfg.seed
     return out

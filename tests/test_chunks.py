@@ -192,6 +192,11 @@ class TestUpsample:
         with pytest.raises(InvalidArgumentError):
             upsample(chunk_of([Pose2(0, 0, 0)], [NAVIGATION]), 10)
 
+    def test_target_shorter_than_chunk(self):
+        chunk = chunk_of([Pose2(0.1 * i, 0, 0) for i in range(10)], [NAVIGATION] * 10)
+        with pytest.raises(InvalidArgumentError, match="target_len must be >= chunk length"):
+            upsample(chunk, 9)
+
 
 def stop_and_go_episode():
     """Three 4 s manipulation stops, each followed by a straight and an arc."""

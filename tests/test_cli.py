@@ -148,6 +148,10 @@ class TestExitCodes:
         "retarget.grad_tol = nan",  # no window would converge
         "retarget.grad_tol = 0",
         "phase.tau_head = inf",
+        "retarget.omega_min = 4",  # above the default omega_max of pi
+        "retarget.lambda_smooth = -1",
+        "phase.epsilon = 0",
+        "phase.k_components = 0",
     ], ids=lambda line: line.replace(" = ", "="))
     def test_out_of_range_config_value_is_input_error(self, tmp_path, capsys,
                                                       line):
@@ -204,13 +208,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, message", [
         ("retarget.bogus = 1\n", "line 1: unknown key 'retarget.bogus'"),
         ("retarget.window = 0\n", "retarget.window must be >= 1"),
-    ], ids=["unknown-key", "out-of-range"])
+        ("retarget.window 5\n", "line 1: expected 'key = value'"),
+        ("robot.window = 5\n", "line 1: unknown key 'robot.window'"),
+    ], ids=["unknown-key", "out-of-range", "no-equals", "unknown-section"])
     def test_config_error_names_the_config_file(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(text)
         assert main(["report", str(tmp_path), "--out", str(tmp_path / "rep"),
                      "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"egonav: {cfg}: {message}\n"
+
+    def test_missing_config_file_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.txt"
+        assert main(["report", str(tmp_path), "--out", str(tmp_path / "rep"),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err  # the OS message names the file
+        assert str(cfg) in err and err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, named", [
         (["synth", "f.bin", "--out", "art"], "f.bin"),
@@ -892,6 +905,16 @@ class TestArtifactReaders:
         assert str(path) in err and f"key {key} given twice" in err
         assert not (tmp_path / "art").exists()
 
+    def test_synth_spec_int_of_too_many_digits(self, tmp_path, capsys):
+        # json.dumps cannot write an int past Python's digit limit, so write text
+        path = tmp_path / "s.json"
+        path.write_text('{"segments": [{"kind": "straight", "duration": 1.0}], '
+                        '"seed": ' + "9" * 5000 + "}")
+        assert main(["synth", str(path), "--out", str(tmp_path / "art")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"egonav: {path}: ") and "digits" in err
+        assert err.count("\n") == 1 and not (tmp_path / "art").exists()
+
     @pytest.mark.parametrize("spec, words", [
         ({"segments": [{"kind": "straight", "duration": 1e999}]}, "'duration'"),
         ({"segments": [{"kind": "straight", "duration": 1.0}], "fps": 1e999}, "'fps'"),
@@ -914,10 +937,13 @@ class TestArtifactReaders:
         ([1, 2], "must be a JSON object"),
         ({"segments": {"kind": "straight"}}, "'segments' must be a list"),
         ({"segments": ["straight"]}, "'segments' must be a list"),
+        ({"segments": []}, "at least one segment"),
+        ({"segments": [{"kind": "straight", "duration": 1.0}], "noise_std": -0.1},
+         "noise_std must be >= 0"),
     ], ids=["duration", "fps", "turn-rate", "noise-std", "speed", "head-height",
             "fractional-seed", "long", "long-in-sum", "overflowing-walk",
             "overflowing-turn", "unknown-key", "not-an-object", "segments-an-object",
-            "segment-a-string"])
+            "segment-a-string", "no-segments", "negative-noise-std"])
     def test_synth_spec_out_of_range(self, tmp_path, capsys, spec, words):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(spec))

@@ -221,6 +221,10 @@ class TestFilterConfidence:
 
 
 class TestWaypoints:
+    def test_empty_episode(self):
+        with pytest.raises(InvalidArgumentError, match="episode has no frames"):
+            extract_waypoints(Episode(np.empty((0, 16)), 30.0))
+
     def test_straight_walk(self):
         frames = [frame(0.1 * i, x=0.1 * i) for i in range(11)]
         track = extract_waypoints(episode(frames), d_thresh=0.25)

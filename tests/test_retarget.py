@@ -123,6 +123,10 @@ class TestCost:
         with pytest.raises(InvalidArgumentError):
             cost(np.zeros((2, 2)), prob)
 
+    def test_problem_needs_a_waypoint(self):
+        with pytest.raises(InvalidArgumentError, match="waypoint sequence is empty"):
+            RetargetProblem(Pose2(0, 0, 0), (), CFG)
+
 
 def test_windows_share_read_only_constant_blocks():
     rng = np.random.default_rng(4)
@@ -451,6 +455,15 @@ def test_command_file_round_trip(tmp_path):
     assert cfg == CFG
     assert [s.cmds for s in back] == [s.cmds for s in sols]
     assert [s.cost_total for s in back] == [s.cost_total for s in sols]
+
+
+@pytest.mark.parametrize("n_waypoints", [2, 4], ids=["fewer", "more"])
+def test_command_file_needs_one_waypoint_more_than_commands(tmp_path, n_waypoints):
+    sol = RetargetSolution((VelocityCommand(0.0, 0.0),) * 2, 0.0, 0.0, 0.0, 0.0, 0, True)
+    walk = WalkRecord("0" * 64, (Pose2(0, 0, 0),) * n_waypoints)
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"waypoint count {n_waypoints} is not command count 2 \+ 1"):
+        write_command_file(tmp_path / "commands.txt", [sol], CFG, walk)
 
 
 def test_command_file_text(tmp_path):

@@ -313,6 +313,14 @@ def test_phase_file_round_trip(tmp_path):
     assert seed == 1
 
 
+def test_phase_file_not_an_object(tmp_path):
+    path = tmp_path / "phases.json"
+    path.write_text("[0, 1]")
+    with pytest.raises(InvalidArgumentError,
+                       match=f"^{re.escape(str(path))}: a phase file must hold a JSON object$"):
+        read_phase_file(path)
+
+
 def test_phase_file_text(tmp_path):
     # the writer's bytes: one JSON object at indent 1, then a newline
     model = GmmModel(np.array([1.0]), np.array([[0.5, -2.0]]),

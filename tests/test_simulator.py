@@ -80,6 +80,22 @@ class TestSimulate:
                      [solution_for(cmds, [Pose2(0, 0, 0)] * 2)],
                      [Pose2(0, 0, 0)], CFG)
 
+    def test_more_waypoints_than_commands(self):
+        # test_count_mismatch's fewer waypoints also fail in the window's
+        # rollout; only simulate's own check sees waypoints left over
+        cmds = [VelocityCommand(0.0, 0.0)] * 2
+        sol = solution_for(cmds, [Pose2(0, 0, 0)] * 2)
+        with pytest.raises(InvalidArgumentError, match="command count 2 != waypoint count 3"):
+            simulate(Pose2(0, 0, 0), [sol], [Pose2(0, 0, 0)] * 3, CFG)
+
+    def test_scores_out_of_range_while_the_cost_is_finite(self):
+        # the weighted cost 1e-300 * (1e200)**2 is finite, the 1e200 m
+        # position error squared in the rmse is not
+        cfg = RetargetConfig(lambda_pos=1e-300)
+        sol = RetargetSolution((VelocityCommand(0.0, 0.0),), 0.0, 0.0, 0.0, 0.0, 0, True)
+        with pytest.raises(InvalidArgumentError, match="scores are not all finite"):
+            simulate(Pose2(0, 0, 0), [sol], [Pose2(1e200, 0, 0)], cfg)
+
 
 class TestSynthesize:
     def test_straight_segment_geometry(self):
