@@ -6,12 +6,13 @@ a stable contract: 0 success, and otherwise the ``exit_code`` of the
 manipulation zones found, 4 solver numerical failure).
 
 When several recordings are given to one segment or retarget call, they
-are split into at most one share per usable core, and each share runs in
-a forked worker process, so parsing and the solver are not serialised by
-one interpreter lock. ``retarget`` records in its command file the
-digest of the recording and the waypoints it solved for, so
-``simulate`` replays from the command file alone: it hashes the recording
-it is given to check that it is that one, and does not parse it. Its
+are split into at most one share per usable core. The calling process
+runs the first share and a forked worker process runs each other one, so
+parsing and the solver are not serialised by one interpreter lock.
+``retarget`` records in its command file the digest of the recording and
+the waypoints it solved for, so ``simulate`` replays from the command
+file alone: it hashes the recording it is given to check that it is that
+one, and does not parse it. Its
 ``--config`` is loaded and checked, but it reads no key of it; it warns on
 stderr, and still exits 0, when more than ``simulator.SATURATION_WARN`` of
 the commands sit on a bound. ``report`` replays the command file the same
@@ -93,13 +94,12 @@ def _run_share(run, jobs) -> list:
     return errors
 
 
-def _run_in_child(run, jobs) -> list:
-    """``_run_share`` in a forked child, which pickles its result to a pipe.
+def _fork_share(run, jobs) -> tuple[int, int]:
+    """Fork a child that runs ``_run_share`` and pickles its result to a pipe.
 
-    The child always leaves through ``os._exit``, so it never flushes the
-    parent's stdio buffers or runs its exit hooks. A child that ends
-    without reporting fails each of its recordings with a
-    :class:`ChildProcessError`.
+    Returns the child's pid and the pipe's read end. The child always
+    leaves through ``os._exit``, so it never flushes the parent's stdio
+    buffers or runs its exit hooks.
     """
     r, w = os.pipe()
     pid = os.fork()
@@ -114,6 +114,15 @@ def _run_in_child(run, jobs) -> list:
         finally:
             os._exit(status)
     os.close(w)
+    return pid, r
+
+
+def _wait_child(jobs, pid, r) -> list:
+    """The result a ``_fork_share`` child sent through ``r``; reaps the child.
+
+    A child that ends without reporting fails each of its recordings with a
+    :class:`ChildProcessError`.
+    """
     try:
         with open(r, "rb") as fh:
             data = fh.read()
@@ -133,10 +142,12 @@ def _for_each(run, recordings, outs) -> None:
 
     One recording, one usable core or no ``os.fork`` runs them in this
     process. Otherwise the pairs are split into ``n = min(recordings,
-    cores)`` static shares ``jobs[i::n]``; each of ``n`` lane threads
-    forks one child, which runs its share in order. Every recording runs
-    even when another fails; then the exception of the first faulty
-    recording in argument order is raised.
+    cores)`` static shares ``jobs[i::n]``. This thread forks one child for
+    each share but the first, before any thread starts, then runs
+    ``jobs[0::n]`` itself while ``n - 1`` lane threads each wait on one
+    child. The lanes reap every child even if this thread's share raises.
+    Every recording runs even when another fails; then the exception of
+    the first faulty recording in argument order is raised.
     """
     jobs = list(zip(recordings, outs))
     n = min(len(jobs), _cores())
@@ -144,11 +155,17 @@ def _for_each(run, recordings, outs) -> None:
         errors = _run_share(run, jobs)
     else:
         errors = [None] * len(jobs)
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            lanes = pool.map(functools.partial(_run_in_child, run),
-                             [jobs[i::n] for i in range(n)])
-            for i, lane in enumerate(lanes):
-                errors[i::n] = lane
+        children = []
+        with ThreadPoolExecutor(max_workers=n - 1) as pool:
+            try:  # every fork comes before the pool's first thread
+                for i in range(1, n):
+                    children.append(_fork_share(run, jobs[i::n]))
+            finally:  # so a failed fork still reaps the children forked before it
+                lanes = [pool.submit(_wait_child, jobs[i::n], *child)
+                         for i, child in enumerate(children, 1)]
+            errors[0::n] = _run_share(run, jobs[0::n])
+            for i, lane in enumerate(lanes, 1):
+                errors[i::n] = lane.result()
     for exc in errors:
         if exc is not None:
             raise exc

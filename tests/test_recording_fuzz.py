@@ -82,7 +82,7 @@ def recordings(draw):
 @given(recordings(), recordings())
 def test_mutated_recordings_exit_with_a_documented_code(first, second):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_cores", lambda: 2)  # one worker per recording
+        mp.setattr(cli, "_cores", lambda: 2)  # the caller runs a, a worker b
         d = Path(tmp)
         recs = [d / "a.jsonl", d / "b.jsonl"]
         for rec, data in zip(recs, (first, second)):
