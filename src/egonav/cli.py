@@ -94,6 +94,15 @@ def _run_share(run, jobs) -> list:
     return errors
 
 
+def _portable(rec, exc):
+    """``exc`` if it survives a pickle round trip, else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{rec}: {type(exc).__name__}: {exc}")
+    return exc
+
+
 def _fork_share(run, jobs) -> tuple[int, int]:
     """Fork a child that runs ``_run_share`` and pickles its result to a pipe.
 
@@ -107,7 +116,8 @@ def _fork_share(run, jobs) -> tuple[int, int]:
         status = 1
         try:
             os.close(r)
-            data = pickle.dumps(_run_share(run, jobs))
+            data = pickle.dumps([_portable(rec, exc) for (rec, _), exc
+                                 in zip(jobs, _run_share(run, jobs))])
             with open(w, "wb") as fh:
                 fh.write(data)
             status = 0

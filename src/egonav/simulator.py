@@ -36,12 +36,15 @@ SATURATION_WARN = 0.5
 
 @dataclass(frozen=True)
 class SimResult:
-    poses: tuple[Pose2, ...]
+    """What a replay computed; its fields, in order, are ``sim.json``'s keys."""
     pos_rmse: float
     pos_max: float
     yaw_rmse: float
-    cost_breakdown: tuple[float, float, float]  # (pos, yaw, smooth), recomputed
+    cost_pos: float  # the cost terms, recomputed from the rollout
+    cost_yaw: float
+    cost_smooth: float
     cost_discrepancy: float  # max over windows of |recomputed - solver-reported|
+    poses: tuple[Pose2, ...]
 
 
 @dataclass(frozen=True)
@@ -107,10 +110,12 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
     rolled out under ``cfg``, the objective the command file records: its
     ``dt`` and weights. Each window's recomputed cost is compared with the
     solver's, and the largest gap is kept. The result holds only what the
-    replay computed: the waypoints and the solver's costs stay in the
-    command file. No windows give an empty rollout with zero errors. A
-    replay that overflows, such as under a ``dt`` of 1e308, raises
-    :class:`InvalidArgumentError` instead of scoring infinities.
+    replay computed, its seven scores and then the poses, in the order
+    ``write_sim_file`` writes them; the waypoints and the solver's costs
+    stay in the command file. No windows give an empty rollout with zero
+    errors. A replay whose scores are not all finite, such as under a
+    ``dt`` of 1e308, raises :class:`InvalidArgumentError` instead of
+    scoring infinities.
     """
     n_cmds = sum(len(sol.cmds) for sol in solutions)
     if n_cmds != len(desired):
@@ -134,19 +139,11 @@ def simulate(start: Pose2, solutions: Sequence[RetargetSolution],
     errs = [math.hypot(p.x - d.x, p.y - d.y) for p, d in zip(poses, desired)]
     yaw_errs = [wrap(p.theta - d.theta) for p, d in zip(poses, desired)]
     n = max(len(errs), 1)
-    result = SimResult(
-        poses=tuple(poses),
-        pos_rmse=math.sqrt(sum(e * e for e in errs) / n),
-        pos_max=max(errs, default=0.0),
-        yaw_rmse=math.sqrt(sum(e * e for e in yaw_errs) / n),
-        cost_breakdown=tuple(parts.tolist()),
-        cost_discrepancy=discrepancy,
-    )
-    scores = (result.pos_rmse, result.pos_max, result.yaw_rmse, *result.cost_breakdown,
-              result.cost_discrepancy)
+    scores = (math.sqrt(sum(e * e for e in errs) / n), max(errs, default=0.0),
+              math.sqrt(sum(e * e for e in yaw_errs) / n), *parts.tolist(), discrepancy)
     if not all(map(math.isfinite, scores)):
         raise InvalidArgumentError(OUT_OF_RANGE)
-    return result
+    return SimResult(*scores, tuple(poses))
 
 
 def synthesize(spec: SynthSpec) -> tuple[Episode, PhaseTrack]:
@@ -243,16 +240,6 @@ def spec_from_json(obj: dict) -> SynthSpec:
 
 
 def write_sim_file(path, result: SimResult) -> None:
-    obj = {
-        "pos_rmse": result.pos_rmse,
-        "pos_max": result.pos_max,
-        "yaw_rmse": result.yaw_rmse,
-        "cost_pos": result.cost_breakdown[0],
-        "cost_yaw": result.cost_breakdown[1],
-        "cost_smooth": result.cost_breakdown[2],
-        "cost_discrepancy": result.cost_discrepancy,
-        "poses": result.poses,
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=1) + "\n")
+    with open(path, "w") as fh:  # vars, not asdict, which deep-copies every pose
+        fh.write(json.dumps(vars(result), indent=1) + "\n")
 

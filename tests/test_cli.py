@@ -541,6 +541,15 @@ class TestPipeline:
         assert sim["pos_rmse"] <= 0.05
         assert sim["cost_discrepancy"] <= 1e-9
 
+    def test_sim_file_keys_are_the_sim_result_fields_in_order(self, tmp_path):
+        art = straight_walk(tmp_path)
+        rec = str(art / "recording.jsonl")
+        assert main(["retarget", rec, "--out", str(art / "commands.txt")]) == 0
+        assert main(["simulate", str(art / "commands.txt"), rec,
+                     "--out", str(art / "sim.json")]) == 0
+        sim = json.loads((art / "sim.json").read_text())
+        assert list(sim) == [f.name for f in dataclasses.fields(simulator.SimResult)]
+
     def test_report_outputs_exist(self, workdir):
         run_pipeline(workdir, fmt="json")
         rep = workdir / "rep"

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,13 @@ def parsed(monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class TwoArgs(Exception):
+    """A fault that pickles, but whose unpickling calls ``__init__`` with one argument."""
+
+    def __init__(self, name, what):
+        super().__init__(f"{name}: {what}")
 
 
 @pytest.mark.parametrize("command, suffix", COMMANDS)
@@ -220,6 +228,82 @@ def test_worker_that_ends_without_a_result_is_input_error(
     assert parsed == [recordings[0]]
     assert len(list(out.iterdir())) == 1  # the caller's recording
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("command", ["segment", "retarget"])
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+def test_program_fault_in_a_share_is_raised_as_it_was(
+        recordings, tmp_path, monkeypatch, forks, command, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    parse = ingest.parse_recording
+
+    def fault(fh, **kwargs):
+        if Path(fh.name) == recordings[1]:  # the worker's share when it forks
+            return 1 / 0
+        return parse(fh, **kwargs)
+
+    monkeypatch.setattr(ingest, "parse_recording", fault)
+    with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+        main([command, *map(str, recordings[:2]), "--out", str(tmp_path / "out")])
+    assert len(forks) == (1 if fork else 0)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("command", ["segment", "retarget"])
+def test_worker_fault_that_does_not_pickle_is_sent_by_type_and_message(
+        recordings, tmp_path, monkeypatch, forks, command):
+    caller = os.getpid()
+    parse = ingest.parse_recording
+
+    def fault(fh, **kwargs):
+        if os.getpid() != caller:
+            raise RuntimeError("bug", threading.Lock())
+        return parse(fh, **kwargs)
+
+    monkeypatch.setattr(ingest, "parse_recording", fault)
+    recs = [str(r) for r in recordings[:2]]
+    with pytest.raises(RuntimeError) as info:
+        main([command, *recs, "--out", str(tmp_path / "out")])
+    message = str(info.value)
+    assert message.startswith(f"{recs[1]}: RuntimeError: ('bug', <") and "lock" in message
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("command", ["segment", "retarget"])
+@pytest.mark.parametrize("where", ["worker", "everywhere"])
+def test_worker_fault_that_does_not_unpickle_leaves_the_first_fault_reported(
+        recordings, tmp_path, monkeypatch, forks, command, where):
+    caller = os.getpid()
+    parse = ingest.parse_recording
+
+    def fault(fh, **kwargs):
+        if where == "everywhere" or os.getpid() != caller:
+            raise TwoArgs(Path(fh.name).name, "bug")
+        return parse(fh, **kwargs)
+
+    monkeypatch.setattr(ingest, "parse_recording", fault)
+    recs = [str(r) for r in recordings[:2]]
+    if where == "worker":
+        expected = RuntimeError, f"{recs[1]}: TwoArgs: {recordings[1].name}: bug"
+    else:  # the caller's own fault on the first recording
+        expected = TwoArgs, f"{recordings[0].name}: bug"
+    with pytest.raises(Exception) as info:
+        main([command, *recs, "--out", str(tmp_path / "out")])
+    assert (type(info.value), str(info.value)) == expected
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_cores_without_an_affinity_mask_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert cli._cores() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert cli._cores() == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

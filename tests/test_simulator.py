@@ -212,8 +212,8 @@ def test_sim_file_round_trip(tmp_path):
 
 def test_sim_file_text(tmp_path):
     # the writer's bytes: one JSON object at indent 1, then a newline
-    res = SimResult((Pose2(0.0, 0.1, -0.5), Pose2(0.25, 0.125, 3.0)),
-                    0.5, 0.75, 0.1, (1.0, 2.0, 3.5), 0.0)
+    res = SimResult(0.5, 0.75, 0.1, 1.0, 2.0, 3.5, 0.0,
+                    (Pose2(0.0, 0.1, -0.5), Pose2(0.25, 0.125, 3.0)))
     path = tmp_path / "sim.json"
     write_sim_file(path, res)
     assert path.read_text() == """{
